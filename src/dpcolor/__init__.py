@@ -4,6 +4,9 @@ Build and validate covers, decide exact colorability, compute DP-chromatic
 numbers of small multigraphs, decide degree-colorability from block
 structure with constructive witnesses, and verify edge-count bounds for
 critical graphs and GDP-trees with exact rational arithmetic.
+
+Result records are NamedTuples or small plain classes: importing dataclasses
+pulls in inspect and ast, about 1 MB of resident memory per process.
 """
 
 from .census import (are_isomorphic, canonical_key, connected_multigraphs,

@@ -9,26 +9,20 @@ per-block constructions by concatenating lists at the cut vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cover import Cover, build_bad_complete, build_bad_cycle, validate_cover
 from .errors import InternalInvariantError
 from .multigraph import CompletePower, CyclePower, Multigraph, Other, blocks
 
 
-@dataclass(frozen=True)
-class DegreeColorabilityVerdict:
+class DegreeColorabilityVerdict(NamedTuple):
     colorable: bool
     reason: tuple        # (block vertex tuple, classification) per block
-    witness: Cover | None
-
-    def __post_init__(self):
-        if self.colorable and self.witness is not None:
-            raise ValueError("colorable verdicts carry no witness")
+    witness: Cover | None  # None when colorable
 
 
-@dataclass(frozen=True)
-class ComponentVerdict:
+class ComponentVerdict(NamedTuple):
     vertices: tuple      # component vertices in the original labeling
     verdict: DegreeColorabilityVerdict  # for the component relabeled 1..m
 

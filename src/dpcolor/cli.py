@@ -2,7 +2,8 @@
 
 Exit codes (stable): 0 success / affirmative answer, 1 negative answer
 (invalid cover, uncolorable, not degree-colorable, not critical), 2 parse or
-input error, 3 resource cap exceeded, 4 internal invariant breach.
+input error, 3 resource cap exceeded, 4 internal error (an invariant breach
+or any other unexpected exception), so a crash never reads as an answer.
 """
 
 from __future__ import annotations
@@ -78,10 +79,7 @@ def cmd_validate(args, config):
 def cmd_solve(args, config):
     g = _load_graph(args.graph)
     cover = _load_cover(args.cover, base=g, strict=config.strict)
-    viol = validate_cover(cover)
-    if viol is not None:
-        raise CoverInvalid(str(viol))
-    res = solve(cover, config)
+    res = solve(cover, config)  # validates, raising CoverInvalid
     if config.output_format == "lines":
         if res.colorable:
             print("colorable " + " ".join(str(i) for i in res.transversal.choice))
@@ -275,6 +273,9 @@ def main(argv=None) -> int:
         return 3
     except InternalInvariantError as e:
         print(f"internal invariant breach: {e}", file=sys.stderr)
+        return 4
+    except Exception as e:  # a crash must not read as a negative answer
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
 
 

@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 _ENV_PREFIX = "DPCOLOR_"
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     """Resource caps and output settings shared across the library and CLI.
 
-    All caps are positive.  Searches that would exceed a cap raise
+    All caps are positive (``checked`` raises otherwise; ``from_env`` calls
+    it).  Searches that would exceed a cap raise
     :class:`dpcolor.errors.CapExceeded` instead of returning an answer.
     """
 
@@ -26,35 +26,33 @@ class Config:
     verify_witnesses: bool = True         # re-check emitted bad covers with the solver
     vertex_deletion_max_n: int = 5        # extra vertex-deletion checks in check_critical
 
-    def __post_init__(self):
+    def checked(self) -> "Config":
+        """Returns self, or raises ValueError for a cap below 1 or an unknown
+        output format."""
         for name in ("node_budget", "max_total_degree", "max_pair_choices",
                      "max_transversal_space", "worker_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.output_format not in ("text", "lines"):
             raise ValueError("output_format must be 'text' or 'lines'")
+        return self
 
     @classmethod
     def from_env(cls, **overrides) -> "Config":
         """Build a config from DPCOLOR_* environment variables plus overrides."""
         values = {}
-        for f in fields(cls):
-            raw = os.environ.get(_ENV_PREFIX + f.name.upper())
+        for name, default in cls._field_defaults.items():
+            raw = os.environ.get(_ENV_PREFIX + name.upper())
             if raw is None:
                 continue
-            if f.type in ("int", int):
-                values[f.name] = int(raw)
-            elif f.type in ("bool", bool):
-                values[f.name] = raw.strip().lower() in ("1", "true", "yes", "on")
+            if isinstance(default, bool):
+                values[name] = raw.strip().lower() in ("1", "true", "yes", "on")
+            elif isinstance(default, int):
+                values[name] = int(raw)
             else:
-                values[f.name] = raw
+                values[name] = raw
         values.update(overrides)
-        return cls(**values)
+        return cls(**values).checked()
 
 
 DEFAULT = Config()
-
-
-def with_overrides(config: Config | None, **overrides) -> Config:
-    base = config if config is not None else DEFAULT
-    return replace(base, **overrides) if overrides else base

@@ -15,27 +15,25 @@ chosen pair of colors is joined by a cross edge.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DEFAULT, Config
 from .errors import CapExceeded, ParseError
-from .multigraph import Multigraph
+from .multigraph import MAX_VERTICES, Multigraph
 
 
-@dataclass(frozen=True)
-class Transversal:
+class Transversal(NamedTuple):
     """One chosen color index (1-based) per vertex, ordered by vertex."""
     choice: tuple
 
     def color(self, v: int) -> int:
         return self.choice[v - 1]
 
-    def __len__(self):
+    def __len__(self):  # the number of vertices, not of fields
         return len(self.choice)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """First reason a purported cover breaks the cover conditions."""
     pair: tuple
     color: tuple | None
@@ -46,6 +44,20 @@ class Violation:
         if self.color is not None:
             where += f", color {self.color}"
         return f"{where}: {self.message}"
+
+
+# Covers share equal cells (i, j) and pair keys (u, v).  The tuples are
+# immutable, so callers cannot tell, and a caller that keeps many witness
+# covers (a census, a critical-graph hunt) stores each distinct pair once.
+# The table stops taking new pairs at _SHARED_MAX.
+_SHARED_MAX = 4096
+_shared = {}
+
+
+def _share(t: tuple) -> tuple:
+    if len(_shared) < _SHARED_MAX:
+        return _shared.setdefault(t, t)
+    return _shared.get(t, t)
 
 
 class Cover:
@@ -69,9 +81,9 @@ class Cover:
                 raise ValueError(f"cross-edge key ({u}, {v}) must have u < v")
             if not (1 <= u and v <= base.n):
                 raise ValueError(f"cross-edge key ({u}, {v}) out of range 1..{base.n}")
-            es = frozenset((int(i), int(j)) for i, j in edges)
+            es = frozenset(_share((int(i), int(j))) for i, j in edges)
             if es:
-                norm[(u, v)] = es
+                norm[_share((u, v))] = es
         self.base = base
         self.list_sizes = sizes
         self.cross = norm
@@ -486,7 +498,8 @@ def random_degree_cover(g: Multigraph, rng) -> Cover:
 # Line 1: n.  Line 2: the n list sizes.  Then one line "u i v j" per cross
 # edge with u < v.  The base multigraph is not part of the format; parsing
 # accepts an explicit base or infers the minimal one (each pair's
-# multiplicity = the maximum bipartite degree of its cross edges).
+# multiplicity = the maximum bipartite degree of its cross edges).  A vertex
+# count above MAX_VERTICES raises CapExceeded before anything is allocated.
 
 
 def parse_cover(text: str, base: Multigraph | None = None) -> Cover:
@@ -507,6 +520,8 @@ def parse_cover(text: str, base: Multigraph | None = None) -> Cover:
                 raise ParseError(f"bad vertex count {parts[0]!r}", lineno) from None
             if n < 1:
                 raise ParseError("vertex count must be at least 1", lineno)
+            if n > MAX_VERTICES:
+                raise CapExceeded(f"vertex count {n} exceeds cap {MAX_VERTICES}")
             continue
         if sizes is None:
             if len(parts) != n:

@@ -6,16 +6,15 @@ fails by floating-point rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .config import DEFAULT, Config
 from .multigraph import CompletePower, CyclePower, Multigraph, Other, blocks
 from .solver import chi_dp, find_uncolorable_cover
 
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(NamedTuple):
     is_critical: bool
     chi: int
     failing_subgraph: tuple | None  # ("edge", u, v) or ("vertex", v)

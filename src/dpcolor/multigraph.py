@@ -7,9 +7,9 @@ Instances are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import CapExceeded, ParseError
 
 
 class Multigraph:
@@ -213,27 +213,51 @@ class Multigraph:
 # -- block decomposition ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompletePower:
+class _Shape:
+    """Shape of a block, equal only to a shape of the same kind and size (as
+    NamedTuples, CompletePower(3, 2) would equal CyclePower(3, 2))."""
+
+    __slots__ = ()
+
+    def _key(self):
+        return (type(self),) + tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return isinstance(other, _Shape) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class CompletePower(_Shape):
     """Block isomorphic to the complete graph on n vertices, every pair k-fold."""
-    n: int
-    k: int
+
+    __slots__ = ("n", "k")
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
 
 
-@dataclass(frozen=True)
-class CyclePower:
+class CyclePower(_Shape):
     """Block isomorphic to the n-cycle (n >= 4) with every edge k-fold."""
-    n: int
-    k: int
+
+    __slots__ = ("n", "k")
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
 
 
-@dataclass(frozen=True)
-class Other:
+class Other(_Shape):
     """Block that is neither a complete power nor a cycle power."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+
+class BlockDecomposition(NamedTuple):
     blocks: tuple            # sorted vertex tuples, ordered by smallest vertex
     cut_vertices: tuple
     classifications: tuple   # parallel to blocks
@@ -345,7 +369,10 @@ def classify_block(b: Multigraph):
 # -- text format ----------------------------------------------------------------
 #
 # First line: n.  Then one line "u v k" per vertex pair with k = multiplicity >= 1.
-# Whitespace-separated, 1-indexed, pairs unordered and unique.
+# Whitespace-separated, 1-indexed, pairs unordered and unique.  A vertex count
+# above MAX_VERTICES raises CapExceeded before anything is allocated.
+
+MAX_VERTICES = 100_000
 
 
 def parse_multigraph(text: str) -> Multigraph:
@@ -365,6 +392,8 @@ def parse_multigraph(text: str) -> Multigraph:
                 raise ParseError(f"bad vertex count {parts[0]!r}", lineno) from None
             if n < 1:
                 raise ParseError("vertex count must be at least 1", lineno)
+            if n > MAX_VERTICES:
+                raise CapExceeded(f"vertex count {n} exceeds cap {MAX_VERTICES}")
             continue
         if len(parts) != 3:
             raise ParseError("expected 'u v k'", lineno)

@@ -4,8 +4,12 @@ Two engines live here:
 
 * ``solve`` decides whether one given cover admits a transversal, by
   backtracking over vertices with minimum-remaining-domain ordering and
-  forward pruning.  Answers are exact: "uncolorable" always means the search
-  space was exhausted, never that a budget ran out (budget aborts raise).
+  forward pruning.  The backtracking runs on an explicit stack, so its depth
+  is not limited by Python's recursion limit, and the next vertex comes from
+  a heap keyed by (domain size, vertex), rebuilt whenever outdated entries
+  make it longer than 4n.  Answers are exact: "uncolorable"
+  always means the search space was exhausted, never that a budget ran out
+  (budget aborts raise).
 
 * ``find_uncolorable_cover`` searches for a cover with prescribed list sizes
   that admits no transversal at all.  Rather than enumerating covers and
@@ -14,14 +18,17 @@ Two engines live here:
   transversals choosing both colors.  The search grows a set of cells subject
   to the per-pair bipartite degree caps until every transversal is blocked
   (an uncolorable cover) or all branches are exhausted (none exists).
-  Branching always targets one still-unblocked transversal, so each level
-  commits to how that transversal dies; sibling branches ban the cells
-  already tried, which keeps the explored solution sets disjoint.  Counting
-  bounds on how many transversals the remaining cell capacity can still
-  block prune hopeless branches.  Spanning-tree gauge fixing shrinks the
-  space: along a BFS tree, a single-multiplicity pair reaching a fresh
-  vertex may be assumed to use only diagonal cells, because relabeling that
-  vertex's list maps any matching onto the diagonal.
+  Branching always targets one still-unblocked transversal that the fewest
+  pairs can still block, so each level commits to how that transversal
+  dies; sibling branches ban the cells already tried, which keeps the
+  explored solution sets disjoint.  Two cuts end hopeless branches: a
+  surviving transversal whose cells are all unaddable can never be blocked,
+  and a capacity bound shows when the cells each pair can still add, taken
+  with their kill counts and with overlaps ignored, cannot block every
+  surviving transversal.  Spanning-tree gauge fixing shrinks the space:
+  along a BFS tree, a single-multiplicity pair reaching a fresh vertex may
+  be assumed to use only diagonal cells, because relabeling that vertex's
+  list maps any matching onto the diagonal.
 
 chi_dp and the degree-colorability oracle are thin wrappers over the cell
 search.  All functions are pure and reentrant; independent instances can be
@@ -30,9 +37,10 @@ handed to parallel workers.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import time
-from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
 
 from .config import DEFAULT, Config
 from .cover import Cover, Transversal, validate_cover, _spanning_forest
@@ -40,8 +48,7 @@ from .errors import CapExceeded, CoverInvalid, InternalInvariantError
 from .multigraph import Multigraph
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     colorable: bool
     transversal: Transversal | None
     nodes_explored: int
@@ -90,45 +97,82 @@ def solve(cover: Cover, config: Config = DEFAULT) -> SolveResult:
     nbr = _neighbor_masks(cover)
     domains = [(1 << cover.size(v)) - 1 for v in range(1, n + 1)]
     chosen = [0] * n
-    unassigned = set(range(1, n + 1))
+    assigned = [False] * (n + 1)
+    # one entry (domain size, vertex) per unassigned vertex is always current;
+    # entries of assigned vertices or of outdated sizes are skipped when met,
+    # and once they pile up the heap is rebuilt from the current entries
+    heap = []
+
+    def rebuild():
+        heap[:] = [(domains[v - 1].bit_count(), v) for v in range(1, n + 1)
+                   if not assigned[v]]
+        heapq.heapify(heap)
+
+    def push(v):
+        heapq.heappush(heap, (domains[v - 1].bit_count(), v))
+        if len(heap) > 4 * n:
+            rebuild()
+
+    rebuild()
+    frames = []  # per assigned vertex: [vertex, untried colors, saved domains]
     nodes = 0
     budget = config.node_budget
 
-    def rec():
-        nonlocal nodes
-        if not unassigned:
-            return True
-        v = min(unassigned, key=lambda x: (bin(domains[x - 1]).count("1"), x))
+    def pick():
+        while heap:
+            size, v = heap[0]
+            if not assigned[v] and size == domains[v - 1].bit_count():
+                return v
+            heapq.heappop(heap)
+        return 0
+
+    ok = False
+    while True:
+        v = pick()
+        if not v:
+            ok = True
+            break
         dom = domains[v - 1]
-        if dom == 0:
-            return False
-        unassigned.remove(v)
-        masks = nbr[v]
-        while dom:
-            bit = dom & -dom
-            dom &= dom - 1
-            i = bit.bit_length()
+        if dom:
+            heapq.heappop(heap)
+            assigned[v] = True
+            frames.append([v, dom, ()])
+        # try the next color of the innermost vertex, backtracking when none
+        # is left
+        while frames:
+            frame = frames[-1]
+            v, dom, saved = frame
+            for u, old in saved:
+                domains[u - 1] = old
+                push(u)
+            if not dom:
+                frames.pop()
+                chosen[v - 1] = 0
+                assigned[v] = False
+                push(v)
+                continue
+            i = (dom & -dom).bit_length()
+            frame[1] = dom & (dom - 1)
             nodes += 1
             if nodes > budget:
                 raise CapExceeded(f"solve exceeded node budget {budget}")
             chosen[v - 1] = i
             saved = []
-            ok = True
-            for u, umasks in masks.items():
-                if u in unassigned:
-                    saved.append((u, domains[u - 1]))
-                    domains[u - 1] &= ~umasks[i - 1]
-                    if domains[u - 1] == 0:
-                        ok = False
-            if ok and rec():
-                return True
-            for u, old in saved:
-                domains[u - 1] = old
-        chosen[v - 1] = 0
-        unassigned.add(v)
-        return False
-
-    ok = rec()
+            alive = True
+            for u, umasks in nbr[v].items():
+                if not assigned[u]:
+                    old = domains[u - 1]
+                    new = old & ~umasks[i - 1]
+                    if new != old:
+                        saved.append((u, old))
+                        domains[u - 1] = new
+                        push(u)
+                        alive = alive and new != 0
+            frame[2] = saved
+            if alive:
+                break
+        else:
+            break
     elapsed = time.perf_counter() - start
     t = Transversal(tuple(chosen)) if ok else None
     return SolveResult(ok, t, nodes, elapsed)
@@ -203,6 +247,32 @@ def find_uncolorable_cover(g: Multigraph, list_sizes,
     return Cover(g, sizes, cross)
 
 
+def _class_masks(sizes):
+    """masks[v][c] = bitmask of the transversals that give vertex v color c + 1.
+
+    Bit b stands for the transversal with mixed-radix index b, vertex n the
+    least significant digit, so the class of (v, c) is a run of strides[v]
+    ones at offset c * strides[v], repeated every strides[v] * sizes[v - 1]
+    bits; the repetition is built by shift-doubling.
+    """
+    space = 1
+    for s in sizes:
+        space *= s
+    full = (1 << space) - 1
+    masks = [None]
+    period = space
+    for s in sizes:
+        stride = period // s
+        row, filled = (1 << stride) - 1, period
+        while filled < space:
+            row |= row << filled
+            filled *= 2
+        row &= full
+        masks.append([row << (c * stride) for c in range(s)])
+        period = stride
+    return masks
+
+
 def _search_blocking_cells(g: Multigraph, sizes, config: Config):
     """Core complete search; returns {pair: set of cells} or None.
 
@@ -218,157 +288,127 @@ def _search_blocking_cells(g: Multigraph, sizes, config: Config):
     pv = [p[1] for p in plist]
     pm = [p[2] for p in plist]
     tree = _spanning_forest(g)
-    diag = []
+    classmask = _class_masks(sizes)
+    # cells[p][k] = (k, i, j, mask) for the cells (i, j) the gauge allows, row
+    # by row: k = (i - 1) * width[p] + j - 1, or k = i - 1 on a gauge-fixed
+    # diagonal (width 0)
+    cells = []
+    width = []
+    capacity = []   # most cells pair p can hold
     for u, v, m in plist:
+        a, b = sizes[u - 1], sizes[v - 1]
         child = tree.get((u, v))
-        if child is None or m != 1:
-            diag.append(False)
-            continue
-        parent = u if child == v else v
-        diag.append(sizes[parent - 1] <= sizes[child - 1])
-
-    space = 1
-    for s in sizes:
-        space *= s
-    nbytes = (space + 7) // 8
-    cell_bytes = [dict() for _ in range(P)]
-    class_bytes = [None] + [[bytearray(nbytes) for _ in range(sizes[v - 1])]
-                            for v in range(1, n + 1)]
-    for idx, t in enumerate(itertools.product(*[range(1, s + 1) for s in sizes])):
-        byte, bit = idx >> 3, 1 << (idx & 7)
-        for p in range(P):
-            cell = (t[pu[p] - 1], t[pv[p] - 1])
-            arr = cell_bytes[p].get(cell)
-            if arr is None:
-                arr = cell_bytes[p][cell] = bytearray(nbytes)
-            arr[byte] |= bit
-        for v in range(1, n + 1):
-            class_bytes[v][t[v - 1] - 1][byte] |= bit
-    cellmask = [{cell: int.from_bytes(arr, "little") for cell, arr in cb.items()}
-                for cb in cell_bytes]
-    classmask = [None] + [[int.from_bytes(arr, "little") for arr in class_bytes[v]]
-                          for v in range(1, n + 1)]
+        diag = child is not None and m == 1 and \
+            sizes[(u if child == v else v) - 1] <= sizes[child - 1]
+        allowed = [(i, i) for i in range(1, min(a, b) + 1)] if diag else \
+            [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
+        cells.append([(k, i, j, classmask[u][i - 1] & classmask[v][j - 1])
+                      for k, (i, j) in enumerate(allowed)])
+        width.append(0 if diag else b)
+        capacity.append(m * min(a, b))
     strides = [0] * (n + 1)
-    st = 1
+    space = 1
     for v in range(n, 0, -1):
-        strides[v] = st
-        st *= sizes[v - 1]
+        strides[v] = space
+        space *= sizes[v - 1]
 
-    pairs_at = [None] + [[] for _ in range(n)]
-    for p in range(P):
-        pairs_at[pu[p]].append((p, 0))
-        pairs_at[pv[p]].append((p, 1))
-
-    rowdeg = [dict() for _ in range(P)]
-    coldeg = [dict() for _ in range(P)]
+    rowdeg = [[0] * (sizes[u - 1] + 1) for u in pu]
+    coldeg = [[0] * (sizes[v - 1] + 1) for v in pv]
     taken = [set() for _ in range(P)]
-    banned = [set() for _ in range(P)]
+    closed = [bytearray(len(cs)) for cs in cells]  # taken or banned: not addable
     nodes = 0
     budget = config.node_budget
     solution = {}
 
-    def addable(p, cell):
-        i, j = cell
-        if diag[p] and i != j:
-            return False
-        if cell in banned[p] or cell in taken[p]:
-            return False
-        return rowdeg[p].get(i, 0) < pm[p] and coldeg[p].get(j, 0) < pm[p]
-
     def decode(idx):
         return tuple(idx // strides[v] % sizes[v - 1] + 1 for v in range(1, n + 1))
 
-    def pruned(S, mus):
-        """Counting bounds: can the remaining cell capacity still block S?
+    def reach(p, mus):
+        """Most transversals pair p can still block, counted without overlaps.
 
-        mus[p] maps a cell to its current kill count.  Three sound tests, each
-        optimistic about overlaps: a global capacity bound, a per-vertex-color
-        one (a transversal choosing color c at v dies to a row-c cell at v or
-        to a pair elsewhere), and a per-pair-cell refinement whose leftover
-        demand only pairs disjoint from both endpoints can serve.
+        mus[k] is the kill count of cells[p][k] if that cell is live
+        (addable, and blocking some transversal of S), else 0.  The pair
+        blocks at most the largest kill counts it can still hold: within
+        each row and each column up to the remaining degree, and in all up
+        to its free capacity.  On a gauge-fixed diagonal every live cell
+        fits, so the sum is exact.
         """
-        live = S.bit_count()
-        bounds = []
+        b, m = width[p], pm[p]
+        if not b:
+            return sum(mus)
+        free = capacity[p] - len(taken[p])
+        best = sum(sorted(mus, reverse=True)[:free])
+        for lines, deg in (([mus[k:k + b] for k in range(0, len(mus), b)], rowdeg[p]),
+                           ([mus[j::b] for j in range(b)], coldeg[p])):
+            s = 0
+            for i, line in enumerate(lines, start=1):
+                s += sum(sorted(line, reverse=True)[:m - deg[i]])
+            best = min(best, s)
+        return best
+
+    def branches(S):
+        """Cells to add at a node with survivors S, most killing first, or
+        none when the node is cut.
+
+        Two cuts: a transversal of S that no pair can block any more, and
+        the capacity bound, under which the pairs' reach() summed, overlaps
+        ignored and so never too low, falls short of |S|.  The per-pair
+        masks built here are freed before the search goes deeper.
+        """
+        # kill counts of live cells, and coverage masks: t & cover[p] != 0
+        # iff pair p can still block t
+        lives, cover = [], []
         for p in range(P):
-            m = pm[p]
-            rd, cd = rowdeg[p], coldeg[p]
-            rows, cols, all_mus = {}, {}, []
-            for cell, mu in mus[p].items():
-                if mu == 0 or not addable(p, cell):
-                    continue
-                i, j = cell
-                rows.setdefault(i, []).append(mu)
-                cols.setdefault(j, []).append(mu)
-                all_mus.append(mu)
-            row_per, col_per = {}, {}
-            row_sum = col_sum = 0
-            for i, lst in rows.items():
-                lst.sort(reverse=True)
-                s = sum(lst[:m - rd.get(i, 0)])
-                row_per[i] = s
-                row_sum += s
-            for j, lst in cols.items():
-                lst.sort(reverse=True)
-                s = sum(lst[:m - cd.get(j, 0)])
-                col_per[j] = s
-                col_sum += s
-            free = min(m * sizes[pu[p] - 1], m * sizes[pv[p] - 1]) - len(taken[p])
-            if free <= 0:
-                bounds.append((0, row_per, col_per))
-                continue
-            all_mus.sort(reverse=True)
-            bounds.append((min(row_sum, col_sum, sum(all_mus[:free])),
-                           row_per, col_per))
-        total = sum(b[0] for b in bounds)
-        if total < live:
-            return True
-        for v in range(1, n + 1):
-            ps = pairs_at[v]
-            if not ps:
-                continue
-            nonv = total - sum(bounds[p][0] for p, _ in ps)
-            deficit = 0
-            masks = classmask[v]
-            for c in range(sizes[v - 1]):
-                need = (S & masks[c]).bit_count()
-                if need == 0:
-                    continue
-                avail = 0
-                for p, side in ps:
-                    avail += bounds[p][side + 1].get(c + 1, 0)
-                if need > avail:
-                    deficit += need - avail
-                    if deficit > nonv:
-                        return True
+            m, rd, cd, off = pm[p], rowdeg[p], coldeg[p], closed[p]
+            mus = [(S & mask).bit_count()
+                   if rd[i] < m and cd[j] < m and not off[k] else 0
+                   for k, i, j, mask in cells[p]]
+            acc = 0
+            for _, _, _, mask in compress(cells[p], mus):
+                acc |= mask
+            lives.append(mus)
+            cover.append(acc)
+        # fail-first: find the transversals of S the fewest pairs can block;
+        # at_least[p] holds those that pairs 0..p-1 can block `level` times
+        # or more
+        at_least = [S] * (P + 1)
+        level = 0
+        while True:
+            nxt = [0]
+            for p in range(P):
+                nxt.append(nxt[p] | (at_least[p] & cover[p]))
+            fewest = at_least[P] & ~nxt[P]
+            if fewest:
+                break
+            at_least = nxt
+            level += 1
+        if level == 0:
+            return []  # some transversal of S can never be blocked
+        # each pair reaches at least its largest kill count; the exact reach
+        # is summed in pair by pair only while the total falls short
+        need = S.bit_count()
+        low = [max(mus) for mus in lives]
+        total = sum(low)
         for p in range(P):
-            u, v = pu[p], pv[p]
-            outside = total
-            for q, _ in pairs_at[u]:
-                outside -= bounds[q][0]
-            for q, _ in pairs_at[v]:
-                if pu[q] != u and pv[q] != u:
-                    outside -= bounds[q][0]
-            u_row = {}
-            for q, side in pairs_at[u]:
-                if q != p:
-                    for c, s in bounds[q][side + 1].items():
-                        u_row[c] = u_row.get(c, 0) + s
-            v_row = {}
-            for q, side in pairs_at[v]:
-                if q != p:
-                    for c, s in bounds[q][side + 1].items():
-                        v_row[c] = v_row.get(c, 0) + s
-            deficit = 0
-            for cell, mu in mus[p].items():
-                if mu == 0:
-                    continue
-                avail = (mu if addable(p, cell) else 0) + \
-                    u_row.get(cell[0], 0) + v_row.get(cell[1], 0)
-                if mu > avail:
-                    deficit += mu - avail
-                    if deficit > outside:
-                        return True
-        return False
+            if total >= need:
+                break
+            total += reach(p, lives[p]) - low[p]
+        if total < need:
+            return []
+        t = decode((fewest & -fewest).bit_length() - 1)
+        opts = []
+        for p in range(P):
+            i, j = t[pu[p] - 1], t[pv[p] - 1]
+            if width[p]:
+                k = (i - 1) * width[p] + j - 1
+            elif i == j:
+                k = i - 1
+            else:
+                continue
+            if lives[p][k]:
+                opts.append((-lives[p][k], p, k))
+        opts.sort()
+        return opts
 
     def rec(S):
         nonlocal nodes
@@ -379,64 +419,29 @@ def _search_blocking_cells(g: Multigraph, sizes, config: Config):
             for p in range(P):
                 solution[(pu[p], pv[p])] = set(taken[p])
             return True
-        mus = [{cell: (S & mask).bit_count() for cell, mask in cellmask[p].items()}
-               for p in range(P)]
-        if pruned(S, mus):
-            return False
-        # coverage masks: t & cover[p] != 0 iff pair p can still block t
-        cover = []
-        for p in range(P):
-            acc = 0
-            for cell, mask in cellmask[p].items():
-                if mus[p][cell] and addable(p, cell):
-                    acc |= mask
-            cover.append(acc)
-        # partition S by how many pairs can still block each transversal
-        by_count = [S]
-        for p in range(P):
-            c = cover[p]
-            nxt = [by_count[0] & ~c]
-            for k in range(1, len(by_count)):
-                nxt.append((by_count[k] & ~c) | (by_count[k - 1] & c))
-            nxt.append(by_count[-1] & c)
-            by_count = nxt
-        if by_count[0]:
-            return False  # some transversal can never be blocked
-        # fail-first: branch on a transversal with the fewest blocking options
-        target = 0
-        for k in range(1, P + 1):
-            if by_count[k]:
-                target = by_count[k] & -by_count[k]
-                break
-        t = decode(target.bit_length() - 1)
-        opts = []
-        for p in range(P):
-            cell = (t[pu[p] - 1], t[pv[p] - 1])
-            if addable(p, cell):
-                opts.append((-mus[p][cell], p, cell))
-        opts.sort()
-        newly_banned = []
+        newly_closed = []
         found = False
-        for _, p, cell in opts:
-            i, j = cell
-            rowdeg[p][i] = rowdeg[p].get(i, 0) + 1
-            coldeg[p][j] = coldeg[p].get(j, 0) + 1
-            taken[p].add(cell)
-            ok = rec(S & ~cellmask[p][cell])  # solution is copied at the leaf
-            taken[p].remove(cell)
+        for _, p, k in branches(S):
+            _, i, j, mask = cells[p][k]
+            rowdeg[p][i] += 1
+            coldeg[p][j] += 1
+            taken[p].add((i, j))
+            closed[p][k] = 1
+            newly_closed.append((p, k))
+            ok = rec(S & ~mask)  # solution is copied at the leaf
+            taken[p].remove((i, j))
             rowdeg[p][i] -= 1
             coldeg[p][j] -= 1
             if ok:
                 found = True
                 break
-            banned[p].add(cell)
-            newly_banned.append((p, cell))
-        for p, cell in newly_banned:
-            banned[p].discard(cell)
+        for p, k in newly_closed:
+            closed[p][k] = 0
         return found
 
-    full = (1 << space) - 1
-    return solution if rec(full) else None
+    found = rec((1 << space) - 1)
+    del rec  # it refers to itself; dropping it frees the masks without the gc
+    return solution if found else None
 
 
 def _edge_color_bipartite(edges, m):

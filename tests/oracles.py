@@ -20,6 +20,55 @@ def brute_force_transversal(cover):
     return None
 
 
+def degree_bounded_cell_sets(a, b, m):
+    """Every set of cells (i, j) in [a] x [b] with row and column degrees <= m."""
+    cells = list(itertools.product(range(1, a + 1), range(1, b + 1)))
+    out = []
+    for r in range(len(cells) + 1):
+        for sub in itertools.combinations(cells, r):
+            rows = [sum(1 for i, _ in sub if i == x) for x in range(1, a + 1)]
+            cols = [sum(1 for _, j in sub if j == y) for y in range(1, b + 1)]
+            if max(rows) <= m and max(cols) <= m:
+                out.append(frozenset(sub))
+    return out
+
+
+def brute_cover_count(g, sizes):
+    """Number of covers of g with these list sizes."""
+    count = 1
+    for u, v, m in g.pairs():
+        count *= len(degree_bounded_cell_sets(sizes[u - 1], sizes[v - 1], m))
+    return count
+
+
+def brute_uncolorable_cover_exists(g, sizes):
+    """True iff some cover of g with these list sizes has no transversal.
+
+    Scans every cover: per pair, every cell set within the degree caps.  A
+    cover's blocked transversals are the union of what its pairs block, each
+    pair's share found by a plain product scan.
+    """
+    transversals = list(itertools.product(*[range(1, s + 1) for s in sizes]))
+    everything = (1 << len(transversals)) - 1
+    per_pair = []
+    for u, v, m in g.pairs():
+        blocked_sets = []
+        for cells in degree_bounded_cell_sets(sizes[u - 1], sizes[v - 1], m):
+            blocked = 0
+            for b, t in enumerate(transversals):
+                if (t[u - 1], t[v - 1]) in cells:
+                    blocked |= 1 << b
+            blocked_sets.append(blocked)
+        per_pair.append(blocked_sets)
+    for combo in itertools.product(*per_pair):
+        blocked = 0
+        for x in combo:
+            blocked |= x
+        if blocked == everything:
+            return True
+    return False
+
+
 def brute_count_transversals(cover):
     """Number of proper transversals, by full product scan."""
     sizes = cover.list_sizes

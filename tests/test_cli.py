@@ -1,7 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dpcolor.cli
+import dpcolor.solver
 from dpcolor import (Multigraph, build_bad_complete, format_cover,
-                     format_multigraph, parse_cover, solve)
+                     format_multigraph, parse_cover, product_reduction, solve)
 from dpcolor.cli import main
 
 
@@ -145,3 +151,60 @@ def test_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DPCOLOR_NODE_BUDGET", "1")
     gra = write(tmp_path / "k4.graph", format_multigraph(Multigraph.complete(4, 2)))
     assert main(["chi-dp", gra]) == 3
+
+
+def test_solve_long_path_cover_exit_0(tmp_path, capsys):
+    n = 1500
+    cover = product_reduction(Multigraph.path(n), 2)
+    gra = write(tmp_path / "p.graph", format_multigraph(cover.base))
+    cov = write(tmp_path / "p.cover", format_cover(cover))
+    assert main(["--format", "lines", "solve", gra, cov]) == 0
+    out = capsys.readouterr().out.split()
+    assert out[0] == "colorable" and len(out) == n + 1
+
+
+def test_unexpected_exception_exits_4(tmp_path, monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(dpcolor.cli, "solve", crash)
+    cover = build_bad_complete(3, 1)
+    gra = write(tmp_path / "g.graph", format_multigraph(cover.base))
+    cov = write(tmp_path / "c.cover", format_cover(cover))
+    assert main(["solve", gra, cov]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: injected\n"
+
+
+def test_solve_validates_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = dpcolor.solver.validate_cover
+    monkeypatch.setattr(dpcolor.solver, "validate_cover",
+                        lambda cover: calls.append(cover) or real(cover))
+    gra = write(tmp_path / "g.graph", "2\n1 2 1\n")
+    cov = write(tmp_path / "c.cover", "2\n1 2\n1 1 2 1\n1 1 2 2\n")
+    assert main(["solve", gra, cov]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert len(calls) == 1
+    good = build_bad_complete(3, 1)
+    gra = write(tmp_path / "k3.graph", format_multigraph(good.base))
+    cov = write(tmp_path / "k3.cover", format_cover(good))
+    assert main(["solve", gra, cov]) == 1
+    assert len(calls) == 2
+
+
+def test_huge_vertex_count_is_refused(tmp_path, capsys):
+    gra = write(tmp_path / "huge.graph", "100000000\n")
+    assert main(["chi-dp", gra]) == 3
+    assert "vertex count 100000000 exceeds cap 100000" in capsys.readouterr().err
+    cov = write(tmp_path / "huge.cover", "100000000\n")
+    assert main(["validate", cov]) == 3
+
+
+def test_import_leaves_out_dataclasses():
+    # dataclasses pulls in inspect and ast, about 1 MB of resident memory in
+    # every process that imports dpcolor
+    src = str(Path(dpcolor.cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import dpcolor.cli, dpcolor.census; "
+            "sys.exit('dataclasses' in sys.modules)")
+    assert subprocess.run([sys.executable, "-S", "-c", code]).returncode == 0

@@ -8,6 +8,7 @@ from dpcolor import (CapExceeded, Cover, Multigraph, ParseError,
                      is_valid_cover, iter_violations, parse_cover,
                      permute_colors, product_reduction, random_degree_cover,
                      reduce_list, solve, validate_cover)
+from dpcolor.multigraph import MAX_VERTICES
 from oracles import brute_force_transversal, random_connected_multigraph
 
 
@@ -240,3 +241,13 @@ def test_cover_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_cover(text)
     assert fragment in str(exc.value)
+
+
+def test_cover_parse_caps_vertex_count():
+    with pytest.raises(CapExceeded):
+        parse_cover("100000000\n")
+    with pytest.raises(CapExceeded):
+        parse_cover(f"{MAX_VERTICES + 1}\n")
+    # the cap itself is allowed: the parse gets as far as the missing sizes
+    with pytest.raises(ParseError):
+        parse_cover(f"{MAX_VERTICES}\n")

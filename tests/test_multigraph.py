@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from dpcolor import (CompletePower, CyclePower, Multigraph, Other, ParseError,
+from dpcolor import (CapExceeded, CompletePower, CyclePower, Multigraph,
+                     Other, ParseError,
                      blocks, classify_block, format_multigraph,
                      parse_multigraph)
+from dpcolor.multigraph import MAX_VERTICES
 from oracles import brute_degeneracy, random_connected_multigraph
 
 
@@ -173,3 +175,13 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_multigraph(text)
     assert fragment in str(exc.value)
+
+
+def test_parse_caps_vertex_count():
+    with pytest.raises(CapExceeded):
+        parse_multigraph("100000000\n")
+    with pytest.raises(CapExceeded):
+        parse_multigraph(f"{MAX_VERTICES + 1}\n")
+    # the cap itself is allowed: the parse gets as far as the bad pair line
+    with pytest.raises(ParseError):
+        parse_multigraph(f"{MAX_VERTICES}\nbad\n")

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 
@@ -9,7 +10,9 @@ from dpcolor import (CapExceeded, Config, Cover, CoverInvalid, Multigraph,
                      enumerate_degree_covers, find_uncolorable_cover,
                      greedy_color, is_valid_cover, permute_colors,
                      product_reduction, random_degree_cover, solve)
-from oracles import (brute_chromatic_number, brute_force_transversal,
+from dpcolor.solver import _class_masks
+from oracles import (brute_chromatic_number, brute_cover_count,
+                     brute_force_transversal, brute_uncolorable_cover_exists,
                      gauge_equivalent, random_connected_multigraph)
 
 
@@ -188,3 +191,66 @@ def test_solve_result_counts_and_time():
     assert res.nodes_explored > 0
     assert res.time >= 0.0
     assert res.transversal is None
+
+
+def test_solve_long_path_runs_without_recursion():
+    n = 5000
+    res = solve(product_reduction(Multigraph.path(n), 2))
+    assert res.colorable
+    assert res.nodes_explored == n
+    assert res.transversal.choice == (1, 2) * (n // 2)
+
+
+def test_solve_heap_stays_bounded(monkeypatch):
+    # a long failing search pushes far more entries than there are vertices
+    # (over 700 here without the rebuild); the heap never holds more than 4n + 1
+    cover = build_bad_complete(9, 1)
+    lengths = []
+    push = heapq.heappush
+
+    def tracking_push(heap, item):
+        push(heap, item)
+        lengths.append(len(heap))
+
+    monkeypatch.setattr(heapq, "heappush", tracking_push)
+    with pytest.raises(CapExceeded):
+        solve(cover, Config(node_budget=20_000))
+    assert len(lengths) > 20_000
+    assert max(lengths) <= 4 * 9 + 1
+
+
+@pytest.mark.parametrize("sizes", [(1,), (4,), (1, 1), (2, 1, 3), (3, 2, 1, 2),
+                                   (1, 3, 1), (2, 2, 2)])
+def test_class_masks_match_product_definition(sizes):
+    want = [None] + [[0] * s for s in sizes]
+    for b, t in enumerate(itertools.product(*[range(1, s + 1) for s in sizes])):
+        for v, c in enumerate(t, start=1):
+            want[v][c - 1] |= 1 << b
+    assert _class_masks(sizes) == want
+
+
+@pytest.mark.parametrize("max_n,max_mult,max_size,instances", [
+    (3, 2, 2, 60),
+    (4, 1, 3, 40),
+    (3, 2, 3, 40),  # pairs with more live cells than free capacity
+])
+def test_cover_search_matches_brute_force(max_n, max_mult, max_size, instances):
+    """Existence of an uncolorable cover agrees with scanning every cover."""
+    rng = random.Random(1609 + max_size)
+    answers = set()
+    done = 0
+    while done < instances:
+        g = random_connected_multigraph(rng, max_n, max_mult, min_n=2)
+        sizes = tuple(rng.randint(1, max_size) for _ in g.vertices())
+        if brute_cover_count(g, sizes) > 50_000:
+            continue  # the brute force would take too long
+        done += 1
+        witness = find_uncolorable_cover(g, sizes)
+        expected = brute_uncolorable_cover_exists(g, sizes)
+        assert (witness is not None) == expected, (g, sizes)
+        answers.add(expected)
+        if witness is not None:
+            assert is_valid_cover(witness)
+            assert witness.list_sizes == sizes
+            assert brute_force_transversal(witness) is None
+    assert answers == {True, False}
