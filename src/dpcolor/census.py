@@ -1,9 +1,9 @@
 """Canonical censuses of small multigraphs, simple graphs, and GDP-trees.
 
-Canonicalization is deliberately lightweight: small vertex counts use the
-minimum multiplicity vector over all vertex permutations; larger simple
-censuses bucket graphs by cheap invariants and settle ties with an exact
-isomorphism backtracker.  No external canonical-labeling dependency.
+One canonical form serves every census and the isomorphism test:
+``canonical_key`` is the lexicographically smallest multiplicity vector over
+all vertex relabelings, found row by row with cell refinement rather than by
+scanning the n! relabelings.  No external canonical-labeling dependency.
 """
 
 from __future__ import annotations
@@ -22,93 +22,66 @@ def _pairs_of(n):
 
 
 def canonical_key(g: Multigraph) -> tuple:
-    """Minimum multiplicity vector over all vertex relabelings.
+    """(n, smallest multiplicity vector over all vertex relabelings).
 
-    Exponential in n; intended for n <= 7.
+    The vector lists multiplicities of the pairs (1, 2), (1, 3), ..., (n-1, n)
+    in that order, so it is the upper triangle read row by row, and it is
+    built one row at a time.  The vertices not yet labeled sit in an ordered
+    partition whose cells may be permuted freely.  Labeling x next makes its
+    row x's multiplicities to the rest, sorted within each cell; only the
+    candidates x from the first cell with the smallest row survive, and each
+    cell splits by multiplicity to x, in ascending order.  Later rows depend
+    on the remaining partition alone, so equal partitions are kept once.
+
+    Cells are vertex bitmasks, and a row is held as its runs, (value,
+    -length) each.  All surviving partitions have the same cell sizes, so
+    comparing runs orders rows as comparing the rows themselves.
     """
     n = g.n
-    pairs = _pairs_of(n)
-    vec = tuple(g.multiplicity(u, v) for u, v in pairs)
-    if n > 8:
-        raise ValueError("canonical_key is for small graphs only")
-    index = {p: i for i, p in enumerate(pairs)}
-    best = vec
-    for perm in itertools.permutations(range(1, n + 1)):
-        mapped = [0] * len(pairs)
-        for (u, v), m in zip(pairs, vec):
-            a, b = perm[u - 1], perm[v - 1]
-            mapped[index[(a, b) if a < b else (b, a)]] = m
-        t = tuple(mapped)
-        if t < best:
-            best = t
-    return (n, best)
-
-
-def _degree_profile(g: Multigraph):
-    """Sorted (degree, sorted neighbor degrees with multiplicities) per vertex."""
-    degs = g.degrees()
-    prof = []
-    for v in g.vertices():
-        nd = sorted((g.multiplicity(v, w), degs[w - 1]) for w in g.neighbors(v))
-        prof.append((degs[v - 1], tuple(nd)))
-    return tuple(sorted(prof))
+    pairs = g.pairs()
+    top = max((k for _, _, k in pairs), default=0)
+    # by_mult[x][k]: the vertices other than x joined to x by k edges
+    by_mult = [[0] * (top + 1) for _ in range(n)]
+    for u, v, k in pairs:
+        by_mult[u - 1][k] |= 1 << (v - 1)
+        by_mult[v - 1][k] |= 1 << (u - 1)
+    full = (1 << n) - 1
+    for x, masks in enumerate(by_mult):
+        masks[0] = full ^ (1 << x) ^ sum(masks)
+    vec = []
+    partitions = [(full,)]
+    for _ in range(n - 1):
+        best = None
+        for cells in partitions:
+            first = cells[0]
+            while first:
+                x = (first & -first).bit_length() - 1
+                first &= first - 1
+                runs = []
+                split = []
+                for cell in cells:
+                    for k, mask in enumerate(by_mult[x]):
+                        part = cell & mask
+                        if part:
+                            runs += (k, -part.bit_count())
+                            split.append(part)
+                if best is None or runs < best:
+                    best, survivors = runs, {tuple(split)}
+                elif runs == best:
+                    survivors.add(tuple(split))
+        for k, length in zip(best[::2], best[1::2]):
+            vec += [k] * -length
+        partitions = survivors
+    return (n, tuple(vec))
 
 
 def are_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
-    """Exact isomorphism test respecting multiplicities (backtracking)."""
-    if g1.n != g2.n or g1.edge_total() != g2.edge_total():
-        return False
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
-    if _degree_profile(g1) != _degree_profile(g2):
-        return False
-    n = g1.n
-    degs1, degs2 = g1.degrees(), g2.degrees()
-    order = sorted(g1.vertices(), key=lambda v: (-degs1[v - 1], v))
-    mapping = {}
-    used = set()
-
-    def extend(idx):
-        if idx == n:
-            return True
-        v = order[idx]
-        for w in g2.vertices():
-            if w in used or degs2[w - 1] != degs1[v - 1]:
-                continue
-            ok = True
-            for prev_v, prev_w in mapping.items():
-                if g1.multiplicity(v, prev_v) != g2.multiplicity(w, prev_w):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(idx + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    return extend(0)
+    """Exact isomorphism test respecting multiplicities."""
+    return canonical_key(g1) == canonical_key(g2)
 
 
-class _IsoSet:
-    """Collects graphs up to isomorphism, bucketed by cheap invariants."""
-
-    def __init__(self):
-        self.buckets = {}
-        self.items = []
-
-    def add(self, g: Multigraph) -> bool:
-        key = (g.n, g.edge_total(), _degree_profile(g))
-        bucket = self.buckets.setdefault(key, [])
-        for other in bucket:
-            if are_isomorphic(g, other):
-                return False
-        bucket.append(g)
-        self.items.append(g)
-        return True
+def _census_order(g):
+    return (g.n, g.edge_total(), sorted(g.degrees()), g.pairs())
 
 
 def connected_multigraphs(max_n: int, max_mult: int):
@@ -153,7 +126,8 @@ def connected_simple_graphs(max_n: int, min_degree: int = 0):
         for idx, (u, v) in enumerate(pairs):
             touching[u] |= 1 << idx
             touching[v] |= 1 << idx
-        iso = _IsoSet()
+        seen = set()
+        found = []
         for mask in range(1 << np):
             if n > 1 and min_degree > 0:
                 if any((mask & touching[v]).bit_count() < min_degree
@@ -163,10 +137,11 @@ def connected_simple_graphs(max_n: int, min_degree: int = 0):
             g = Multigraph(n, mult)
             if not g.is_connected():
                 continue
-            iso.add(g)
-        result.extend(sorted(iso.items, key=lambda g: (g.n, g.edge_total(),
-                                                       sorted(g.degrees()),
-                                                       g.pairs())))
+            key = canonical_key(g)
+            if key not in seen:
+                seen.add(key)
+                found.append(g)
+        result.extend(sorted(found, key=_census_order))
     return result
 
 
@@ -180,9 +155,9 @@ def gdp_trees(max_n: int, max_complete_block: int, max_degree: int):
     blocks arises from one with b blocks by removing a leaf block, so the
     expansion is exhaustive.
     """
-    iso = _IsoSet()
     seed = Multigraph(1, {})
-    iso.add(seed)
+    seen = {canonical_key(seed)}
+    found = [seed]
     frontier = [seed]
     block_menu = []
     for r in range(2, max_complete_block + 1):
@@ -216,8 +191,12 @@ def gdp_trees(max_n: int, max_complete_block: int, max_degree: int):
             for v in g.vertices():
                 for kind, size in block_menu:
                     g2 = attach(g, v, kind, size)
-                    if g2 is not None and iso.add(g2):
+                    if g2 is None:
+                        continue
+                    key = canonical_key(g2)
+                    if key not in seen:
+                        seen.add(key)
+                        found.append(g2)
                         nxt.append(g2)
         frontier = nxt
-    return sorted(iso.items, key=lambda g: (g.n, g.edge_total(), sorted(g.degrees()),
-                                            g.pairs()))
+    return sorted(found, key=_census_order)

@@ -23,8 +23,6 @@ class Config(NamedTuple):
     worker_count: int = 1                 # parallel workers for census runs
     strict: bool = False                  # reject invalid cover files at parse time
     output_format: str = "text"           # "text" | "lines"
-    verify_witnesses: bool = True         # re-check emitted bad covers with the solver
-    vertex_deletion_max_n: int = 5        # extra vertex-deletion checks in check_critical
 
     def checked(self) -> "Config":
         """Returns self, or raises ValueError for a cap below 1 or an unknown

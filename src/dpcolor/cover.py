@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .config import DEFAULT, Config
 from .errors import CapExceeded, ParseError
-from .multigraph import MAX_VERTICES, Multigraph
+from .multigraph import Multigraph, parse_vertex_count
 
 
 class Transversal(NamedTuple):
@@ -499,7 +499,12 @@ def random_degree_cover(g: Multigraph, rng) -> Cover:
 # edge with u < v.  The base multigraph is not part of the format; parsing
 # accepts an explicit base or infers the minimal one (each pair's
 # multiplicity = the maximum bipartite degree of its cross edges).  A vertex
-# count above MAX_VERTICES raises CapExceeded before anything is allocated.
+# count above multigraph.MAX_VERTICES or a list size above MAX_LIST_SIZE
+# raises CapExceeded before anything is allocated for them.  The cap on list
+# sizes bounds what solve allocates per list: an s-bit domain per vertex and
+# s-entry conflict masks per cross pair.
+
+MAX_LIST_SIZE = 1_000
 
 
 def parse_cover(text: str, base: Multigraph | None = None) -> Cover:
@@ -512,16 +517,7 @@ def parse_cover(text: str, base: Multigraph | None = None) -> Cover:
         if not parts:
             continue
         if n is None:
-            if len(parts) != 1:
-                raise ParseError("expected a single vertex count", lineno)
-            try:
-                n = int(parts[0])
-            except ValueError:
-                raise ParseError(f"bad vertex count {parts[0]!r}", lineno) from None
-            if n < 1:
-                raise ParseError("vertex count must be at least 1", lineno)
-            if n > MAX_VERTICES:
-                raise CapExceeded(f"vertex count {n} exceeds cap {MAX_VERTICES}")
+            n = parse_vertex_count(parts, lineno)
             continue
         if sizes is None:
             if len(parts) != n:
@@ -532,6 +528,8 @@ def parse_cover(text: str, base: Multigraph | None = None) -> Cover:
                 raise ParseError("non-integer list size", lineno) from None
             if any(s < 0 for s in sizes):
                 raise ParseError("list sizes must be nonnegative", lineno)
+            if max(sizes) > MAX_LIST_SIZE:
+                raise CapExceeded(f"list size {max(sizes)} exceeds cap {MAX_LIST_SIZE}")
             continue
         if len(parts) != 4:
             raise ParseError("expected 'u i v j'", lineno)

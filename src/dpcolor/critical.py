@@ -33,10 +33,10 @@ def check_critical(g: Multigraph, k: int, config: Config = DEFAULT) -> Criticali
 
     Single-edge deletions suffice: every proper sub-multigraph sits inside
     some single-edge-deleted one and the DP-chromatic number is monotone
-    under sub-multigraphs.  The one exception is an edgeless multigraph,
-    whose only proper subgraphs are vertex-deleted; those are handled
-    directly.  For small graphs (n <= config.vertex_deletion_max_n) vertex
-    deletions are re-checked anyway, as a belt-and-suspenders measure.
+    under sub-multigraphs.  The exceptions are subgraphs that delete an
+    isolated vertex: such a subgraph keeps every edge, and so the
+    DP-chromatic number, whenever g has an edge.  An edgeless g and a g with
+    an isolated vertex are therefore decided directly.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -48,15 +48,11 @@ def check_critical(g: Multigraph, k: int, config: Config = DEFAULT) -> Criticali
         return CriticalityReport(g.n == 1, chi, None if g.n == 1 else ("vertex", 1))
     for u, v, _ in g.pairs():
         smaller = g.delete_single_edge(u, v)
-        if k > 1 and find_uncolorable_cover(smaller, k - 1, config) is not None:
+        if find_uncolorable_cover(smaller, k - 1, config) is not None:
             return CriticalityReport(False, chi, ("edge", u, v))
-    if g.n <= config.vertex_deletion_max_n and k > 1:
-        for v in g.vertices():
-            if g.n == 1:
-                break
-            smaller = g.delete_vertex(v)
-            if find_uncolorable_cover(smaller, k - 1, config) is not None:
-                return CriticalityReport(False, chi, ("vertex", v))
+    for v in g.vertices():
+        if g.degree(v) == 0:
+            return CriticalityReport(False, chi, ("vertex", v))
     return CriticalityReport(True, chi, None)
 
 

@@ -375,6 +375,21 @@ def classify_block(b: Multigraph):
 MAX_VERTICES = 100_000
 
 
+def parse_vertex_count(parts, lineno: int) -> int:
+    """The vertex count from the split first line of a graph or cover file."""
+    if len(parts) != 1:
+        raise ParseError("expected a single vertex count", lineno)
+    try:
+        n = int(parts[0])
+    except ValueError:
+        raise ParseError(f"bad vertex count {parts[0]!r}", lineno) from None
+    if n < 1:
+        raise ParseError("vertex count must be at least 1", lineno)
+    if n > MAX_VERTICES:
+        raise CapExceeded(f"vertex count {n} exceeds cap {MAX_VERTICES}")
+    return n
+
+
 def parse_multigraph(text: str) -> Multigraph:
     lines = text.splitlines()
     n = None
@@ -384,16 +399,7 @@ def parse_multigraph(text: str) -> Multigraph:
         if not parts:
             continue
         if n is None:
-            if len(parts) != 1:
-                raise ParseError("expected a single vertex count", lineno)
-            try:
-                n = int(parts[0])
-            except ValueError:
-                raise ParseError(f"bad vertex count {parts[0]!r}", lineno) from None
-            if n < 1:
-                raise ParseError("vertex count must be at least 1", lineno)
-            if n > MAX_VERTICES:
-                raise CapExceeded(f"vertex count {n} exceeds cap {MAX_VERTICES}")
+            n = parse_vertex_count(parts, lineno)
             continue
         if len(parts) != 3:
             raise ParseError("expected 'u v k'", lineno)

@@ -532,7 +532,7 @@ def degree_colorable_oracle(g: Multigraph,
     Covers with larger lists never matter: dropping the surplus colors of an
     uncolorable cover leaves even fewer transversal candidates, so it stays
     uncolorable, and the result has exactly the degree sizes.  The witness is
-    re-verified with the solver unless config.verify_witnesses is off.
+    re-verified with the solver, which also validates it.
     """
     if not g.is_connected():
         raise ValueError("oracle needs a connected multigraph")
@@ -542,10 +542,10 @@ def degree_colorable_oracle(g: Multigraph,
     witness = find_uncolorable_cover(g, g.degrees(), config)
     if witness is None:
         return True, None
-    if config.verify_witnesses:
-        viol = validate_cover(witness)
-        if viol is not None:
-            raise InternalInvariantError(f"witness fails validation: {viol}")
-        if solve(witness, config).colorable:
-            raise InternalInvariantError("witness unexpectedly colorable")
+    try:
+        colorable = solve(witness, config).colorable
+    except CoverInvalid as exc:
+        raise InternalInvariantError(f"witness fails validation: {exc}") from None
+    if colorable:
+        raise InternalInvariantError("witness unexpectedly colorable")
     return False, witness

@@ -69,6 +69,23 @@ def brute_uncolorable_cover_exists(g, sizes):
     return False
 
 
+def brute_canonical_key(g):
+    """(n, smallest multiplicity vector over all n! vertex relabelings)."""
+    n = g.n
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    index = {p: i for i, p in enumerate(pairs)}
+    best = None
+    for perm in itertools.permutations(range(1, n + 1)):
+        mapped = [0] * len(pairs)
+        for u, v in pairs:
+            a, b = perm[u - 1], perm[v - 1]
+            mapped[index[(a, b) if a < b else (b, a)]] = g.multiplicity(u, v)
+        t = tuple(mapped)
+        if best is None or t < best:
+            best = t
+    return (n, best)
+
+
 def brute_count_transversals(cover):
     """Number of proper transversals, by full product scan."""
     sizes = cover.list_sizes

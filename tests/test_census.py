@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 from dpcolor import (Multigraph, are_isomorphic, canonical_key,
                      connected_multigraphs, connected_simple_graphs,
                      gdp_trees, is_gdp_tree)
+from oracles import brute_canonical_key
 
 
 def test_simple_census_counts():
@@ -56,6 +60,29 @@ def test_canonical_key_invariant():
     b = Multigraph(3, {(1, 3): 1, (2, 3): 2})
     assert canonical_key(a) == canonical_key(b)
     assert canonical_key(a) != canonical_key(Multigraph(3, {(1, 2): 1, (2, 3): 1}))
+
+
+def _labeled_multigraphs(n, max_mult):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for vec in itertools.product(range(max_mult + 1), repeat=len(pairs)):
+        yield Multigraph(n, {p: m for p, m in zip(pairs, vec) if m})
+
+
+def _random_multigraphs(rng, n, max_mult, count):
+    for _ in range(count):
+        yield Multigraph(n, {p: rng.randint(0, max_mult)
+                             for p in itertools.combinations(range(1, n + 1), 2)})
+
+
+def test_canonical_key_matches_brute_force():
+    rng = random.Random(1609)
+    families = [_labeled_multigraphs(n, 3) for n in range(1, 5)]
+    families.append(_labeled_multigraphs(5, 1))
+    families += [_random_multigraphs(rng, 6, 1, 200), _random_multigraphs(rng, 6, 2, 200),
+                 _random_multigraphs(rng, 7, 1, 12), _random_multigraphs(rng, 7, 2, 12)]
+    for family in families:
+        for g in family:
+            assert canonical_key(g) == brute_canonical_key(g), g.pairs()
 
 
 def test_gdp_trees_census():

@@ -201,6 +201,14 @@ def test_huge_vertex_count_is_refused(tmp_path, capsys):
     assert main(["validate", cov]) == 3
 
 
+def test_huge_list_size_is_refused(tmp_path, capsys):
+    gra = write(tmp_path / "edge.graph", "2\n1 2 1\n")
+    cov = write(tmp_path / "huge.cover", "2\n1000000000 1000000000\n1 1 2 1\n")
+    assert main(["solve", gra, cov]) == 3
+    assert "list size 1000000000 exceeds cap 1000" in capsys.readouterr().err
+    assert main(["validate", cov]) == 3
+
+
 def test_import_leaves_out_dataclasses():
     # dataclasses pulls in inspect and ast, about 1 MB of resident memory in
     # every process that imports dpcolor

@@ -8,6 +8,7 @@ from dpcolor import (CapExceeded, Cover, Multigraph, ParseError,
                      is_valid_cover, iter_violations, parse_cover,
                      permute_colors, product_reduction, random_degree_cover,
                      reduce_list, solve, validate_cover)
+from dpcolor.cover import MAX_LIST_SIZE
 from dpcolor.multigraph import MAX_VERTICES
 from oracles import brute_force_transversal, random_connected_multigraph
 
@@ -251,3 +252,12 @@ def test_cover_parse_caps_vertex_count():
     # the cap itself is allowed: the parse gets as far as the missing sizes
     with pytest.raises(ParseError):
         parse_cover(f"{MAX_VERTICES}\n")
+
+
+def test_cover_parse_caps_list_sizes():
+    with pytest.raises(CapExceeded) as exc:
+        parse_cover("2\n1000000000 1000000000\n1 1 2 1\n")
+    assert str(exc.value) == f"list size 1000000000 exceeds cap {MAX_LIST_SIZE}"
+    with pytest.raises(CapExceeded):
+        parse_cover(f"2\n1 {MAX_LIST_SIZE + 1}\n")
+    assert parse_cover(f"2\n{MAX_LIST_SIZE} 1\n1 1 2 1\n").list_sizes == (MAX_LIST_SIZE, 1)

@@ -39,6 +39,18 @@ def test_wrong_k_not_critical():
     assert not report.is_critical and report.chi == 4
 
 
+def test_isolated_vertex_not_critical():
+    # deleting an isolated vertex keeps every edge, so chi_dp stays put
+    k4_plus_two = Multigraph.from_edges(6, Multigraph.complete(4).pairs())
+    report = check_critical(k4_plus_two, 4)
+    assert not report.is_critical
+    assert report.chi == 4 and report.failing_subgraph == ("vertex", 5)
+    c4_plus_two = Multigraph.from_edges(6, Multigraph.cycle(4).pairs())
+    report = check_critical(c4_plus_two, 3)
+    assert not report.is_critical
+    assert report.chi == 3 and report.failing_subgraph == ("vertex", 5)
+
+
 def test_k1_and_edgeless():
     assert check_critical(Multigraph(1), 1).is_critical
     report = check_critical(Multigraph(3), 1)

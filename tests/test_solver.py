@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from dpcolor import (CapExceeded, Config, Cover, CoverInvalid, Multigraph,
+import dpcolor.solver
+from dpcolor import (CapExceeded, Config, Cover, CoverInvalid,
+                     InternalInvariantError, Multigraph,
                      Transversal, build_bad_complete, build_bad_cycle,
                      check_transversal, chi_dp, degree_colorable_oracle,
                      enumerate_degree_covers, find_uncolorable_cover,
@@ -160,6 +162,17 @@ def test_oracle_examples():
         degree_colorable_oracle(Multigraph(3, {(1, 2): 1}))
     with pytest.raises(CapExceeded):
         degree_colorable_oracle(Multigraph.complete(5, 2))
+
+
+def test_oracle_rejects_a_bad_witness(monkeypatch):
+    edge = Multigraph.complete(2)
+    invalid = Cover(edge, (1, 1), {(1, 2): {(1, 1), (1, 2)}})
+    colorable = Cover(edge, (1, 1), {})
+    for witness, message in ((invalid, "fails validation"), (colorable, "colorable")):
+        monkeypatch.setattr(dpcolor.solver, "find_uncolorable_cover",
+                            lambda g, sizes, config, w=witness: w)
+        with pytest.raises(InternalInvariantError, match=message):
+            degree_colorable_oracle(edge)
 
 
 def test_oracle_agrees_with_enumeration():
