@@ -16,10 +16,10 @@ from .characterization import (ComponentVerdict, DegreeColorabilityVerdict,
                                decide_degree_colorable_any)
 from .config import DEFAULT, Config
 from .cover import (Cover, Transversal, Violation, build_bad_complete,
-                    build_bad_cycle, enumerate_degree_covers, format_cover,
-                    glue, is_valid_cover, iter_violations, parse_cover,
-                    permute_colors, product_reduction, random_degree_cover,
-                    reduce_list, validate_cover)
+                    build_bad_cycle, format_cover, is_valid_cover,
+                    iter_violations, parse_cover, permute_colors,
+                    product_reduction, random_degree_cover, reduce_list,
+                    validate_cover)
 from .critical import (CriticalityReport, GdpPrecondition,
                        check_bound_multigraph, check_bound_simple,
                        check_critical, check_gdp_edge_bound, is_gallai_tree,
@@ -30,8 +30,7 @@ from .multigraph import (BlockDecomposition, CompletePower, CyclePower,
                          Multigraph, Other, blocks, classify_block,
                          format_multigraph, parse_multigraph)
 from .solver import (SolveResult, check_transversal, chi_dp,
-                     degree_colorable_oracle, find_uncolorable_cover,
-                     greedy_color, solve)
+                     degree_colorable_oracle, find_uncolorable_cover, solve)
 
 __version__ = "0.1.0"
 
@@ -46,8 +45,8 @@ __all__ = [
     "check_critical", "check_gdp_edge_bound", "check_transversal", "chi_dp",
     "classify_block", "connected_multigraphs", "connected_simple_graphs",
     "decide_degree_colorable", "decide_degree_colorable_any",
-    "degree_colorable_oracle", "enumerate_degree_covers", "find_uncolorable_cover",
-    "format_cover", "format_multigraph", "gdp_trees", "glue", "greedy_color",
+    "degree_colorable_oracle", "find_uncolorable_cover", "format_cover",
+    "format_multigraph", "gdp_trees",
     "is_gallai_tree", "is_gdp_tree", "is_valid_cover", "iter_violations",
     "parse_cover", "parse_multigraph", "permute_colors", "product_reduction",
     "random_degree_cover", "reduce_list", "simple_critical_coefficient",

@@ -14,8 +14,8 @@ import sys
 from .census import connected_multigraphs
 from .characterization import assemble_witness, decide_degree_colorable_any
 from .config import Config
-from .cover import (Cover, format_cover, iter_violations, parse_cover,
-                    reduce_list, validate_cover)
+from .cover import (MAX_LIST_SIZE, Cover, format_cover, iter_violations,
+                    parse_cover, reduce_list, validate_cover)
 from .critical import check_bound_multigraph, check_critical
 from .errors import (CapExceeded, CoverInvalid, InternalInvariantError,
                      ParseError)
@@ -44,8 +44,12 @@ def _load_cover(path, base=None, strict=False) -> Cover:
     return cover
 
 
-def _parse_lists(text):
-    """Lists file: one line per vertex, 'v color color ...'; colors are tokens."""
+def _parse_lists(text, n):
+    """Lists file: one line per vertex, 'v color color ...'; colors are tokens.
+
+    A vertex outside 1..n is a parse error; a list longer than
+    MAX_LIST_SIZE raises CapExceeded, as list sizes in cover files do.
+    """
     lists = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -55,9 +59,14 @@ def _parse_lists(text):
             v = int(parts[0])
         except ValueError:
             raise ParseError(f"bad vertex {parts[0]!r}", lineno) from None
+        if not 1 <= v <= n:
+            raise ParseError(f"vertex {v} out of range 1..{n}", lineno)
         if v in lists:
             raise ParseError(f"duplicate list for vertex {v}", lineno)
         colors = parts[1:]
+        if len(colors) > MAX_LIST_SIZE:
+            raise CapExceeded(f"list size {len(colors)} of vertex {v} "
+                              f"exceeds cap {MAX_LIST_SIZE}")
         if len(set(colors)) != len(colors):
             raise ParseError(f"list of vertex {v} repeats a color", lineno)
         lists[v] = colors
@@ -147,7 +156,7 @@ def cmd_check_critical(args, config):
 
 def cmd_reduce(args, config):
     g = _load_graph(args.graph)
-    lists = _parse_lists(_read(args.lists))
+    lists = _parse_lists(_read(args.lists), g.n)
     cover = reduce_list(g, lists)
     text = format_cover(cover)
     if args.output:

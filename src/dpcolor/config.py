@@ -17,8 +17,7 @@ class Config(NamedTuple):
     """
 
     node_budget: int = 5_000_000          # backtracking nodes per solve/search call
-    max_total_degree: int = 24            # sum-of-degrees cap for degree-cover work
-    max_pair_choices: int = 10_000_000    # per-pair cross-edge choices when enumerating
+    max_total_degree: int = 24            # sum-of-degrees cap for the oracle
     max_transversal_space: int = 500_000  # product-space cap for uncolorable-cover search
     worker_count: int = 1                 # parallel workers for census runs
     strict: bool = False                  # reject invalid cover files at parse time
@@ -27,7 +26,7 @@ class Config(NamedTuple):
     def checked(self) -> "Config":
         """Returns self, or raises ValueError for a cap below 1 or an unknown
         output format."""
-        for name in ("node_budget", "max_total_degree", "max_pair_choices",
+        for name in ("node_budget", "max_total_degree",
                      "max_transversal_space", "worker_count"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -40,13 +39,17 @@ class Config(NamedTuple):
         """Build a config from DPCOLOR_* environment variables plus overrides."""
         values = {}
         for name, default in cls._field_defaults.items():
-            raw = os.environ.get(_ENV_PREFIX + name.upper())
+            var = _ENV_PREFIX + name.upper()
+            raw = os.environ.get(var)
             if raw is None:
                 continue
             if isinstance(default, bool):
                 values[name] = raw.strip().lower() in ("1", "true", "yes", "on")
             elif isinstance(default, int):
-                values[name] = int(raw)
+                try:
+                    values[name] = int(raw)
+                except ValueError:
+                    raise ValueError(f"{var}={raw!r} is not an integer") from None
             else:
                 values[name] = raw
         values.update(overrides)

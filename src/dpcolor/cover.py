@@ -14,10 +14,8 @@ chosen pair of colors is joined by a cross edge.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
-from .config import DEFAULT, Config
 from .errors import CapExceeded, ParseError
 from .multigraph import Multigraph, parse_vertex_count
 
@@ -90,13 +88,6 @@ class Cover:
 
     def size(self, v: int) -> int:
         return self.list_sizes[v - 1]
-
-    def cross_edges(self, u: int, v: int) -> frozenset:
-        key = (u, v) if u < v else (v, u)
-        edges = self.cross.get(key, frozenset())
-        if u < v:
-            return edges
-        return frozenset((j, i) for i, j in edges)
 
     def _key(self):
         return (self.base, self.list_sizes, tuple(sorted(self.cross.items())))
@@ -171,22 +162,21 @@ def reduce_list(g: Multigraph, lists: dict) -> Cover:
     """
     if not g.is_simple():
         raise ValueError("list reduction is defined for simple graphs only")
-    seqs = {}
+    index = {}  # index[v][color] = the color's position in v's list, from 1
     for v in g.vertices():
         if v not in lists:
             raise ValueError(f"missing list for vertex {v}")
         seq = list(lists[v])
-        if len(set(seq)) != len(seq):
+        index[v] = {c: j for j, c in enumerate(seq, start=1)}
+        if len(index[v]) != len(seq):
             raise ValueError(f"list of vertex {v} repeats a color")
-        seqs[v] = seq
     cross = {}
     for u, v, _ in g.pairs():
-        edges = {(i + 1, j + 1)
-                 for i, cu in enumerate(seqs[u])
-                 for j, cv in enumerate(seqs[v]) if cu == cv}
+        pos = index[v]
+        edges = {(i, pos[c]) for c, i in index[u].items() if c in pos}
         if edges:
             cross[(u, v)] = edges
-    return Cover(g, tuple(len(seqs[v]) for v in g.vertices()), cross)
+    return Cover(g, tuple(len(index[v]) for v in g.vertices()), cross)
 
 
 def product_reduction(g: Multigraph, k: int) -> Cover:
@@ -245,53 +235,6 @@ def build_bad_cycle(n: int, k: int) -> Cover:
     return Cover(base, (2 * k,) * n, cross)
 
 
-def glue(c1: Cover, c2: Cover, w1: int, w2: int) -> Cover:
-    """Amalgamate two covers at a single shared vertex.
-
-    Vertex w1 of the first base is identified with w2 of the second; the
-    remaining vertices of the second graph are relabeled n1+1, n1+2, ... in
-    sorted order.  The shared vertex's list is the concatenation of its two
-    lists (the implicit clique spans the whole merged list), so list sizes
-    add at the joint and are preserved elsewhere.
-    """
-    g1, g2 = c1.base, c2.base
-    g1._check_vertex(w1)
-    g2._check_vertex(w2)
-    rest2 = [v for v in g2.vertices() if v != w2]
-    remap = {w2: w1}
-    for i, v in enumerate(rest2):
-        remap[v] = g1.n + 1 + i
-    n = g1.n + g2.n - 1
-    mult = {pair: m for (pair, m) in ((p[:2], p[2]) for p in g1.pairs())}
-    for u, v, m in g2.pairs():
-        a, b = remap[u], remap[v]
-        key = (a, b) if a < b else (b, a)
-        mult[key] = m
-    base = Multigraph(n, mult)
-
-    sizes = [0] * n
-    for v in g1.vertices():
-        sizes[v - 1] = c1.size(v)
-    for v in g2.vertices():
-        if v == w2:
-            sizes[w1 - 1] += c2.size(v)
-        else:
-            sizes[remap[v] - 1] = c2.size(v)
-
-    offset = c1.size(w1)  # second cover's colors at the joint start after c1's
-    cross = {pair: set(edges) for pair, edges in c1.cross.items()}
-    for (u, v), edges in c2.cross.items():
-        a, b = remap[u], remap[v]
-        shift_u = offset if u == w2 else 0
-        shift_v = offset if v == w2 else 0
-        mapped = {(i + shift_u, j + shift_v) for i, j in edges}
-        if a < b:
-            cross[(a, b)] = mapped
-        else:
-            cross[(b, a)] = {(j, i) for i, j in mapped}
-    return Cover(base, tuple(sizes), cross)
-
-
 def permute_colors(cover: Cover, perms: dict) -> Cover:
     """Apply per-vertex permutations of color indices (a gauge transformation).
 
@@ -311,168 +254,6 @@ def permute_colors(cover: Cover, perms: dict) -> Cover:
         pu, pv = full[u], full[v]
         cross[(u, v)] = {(pu[i - 1], pv[j - 1]) for i, j in edges}
     return Cover(cover.base, cover.list_sizes, cross)
-
-
-# -- maximum matchings and their unions ----------------------------------------
-
-
-def _maximum_matchings(a: int, b: int, cap: int):
-    """All maximum matchings between row colors 1..a and column colors 1..b.
-
-    Each is a frozenset of (row, col) cells of size min(a, b).
-    """
-    out = []
-    if a <= b:
-        for cols in itertools.permutations(range(1, b + 1), a):
-            out.append(frozenset(zip(range(1, a + 1), cols)))
-            if len(out) > cap:
-                raise CapExceeded("too many matchings for one pair")
-    else:
-        for rows in itertools.permutations(range(1, a + 1), b):
-            out.append(frozenset(zip(rows, range(1, b + 1))))
-            if len(out) > cap:
-                raise CapExceeded("too many matchings for one pair")
-    return out
-
-
-def _unions_of_maximum_matchings(a: int, b: int, m: int, cap: int):
-    """Distinct unions of exactly m maximum matchings, sorted deterministically."""
-    matchings = _maximum_matchings(a, b, cap)
-    seen = set()
-    count = 0
-    for combo in itertools.combinations_with_replacement(range(len(matchings)), m):
-        count += 1
-        if count > cap:
-            raise CapExceeded("too many cross-edge choices for one pair")
-        union = frozenset().union(*(matchings[i] for i in combo))
-        seen.add(union)
-    return sorted(seen, key=sorted)
-
-
-def _canonical_under_side(edge_sets, side: str, size: int):
-    """Quotient edge sets by permutations of one side's colors (gauge fixing).
-
-    Skipped for sizes where the factorial blows up; over-enumeration is
-    harmless for the consumers of this stream.
-    """
-    if size > 6:
-        return list(edge_sets)
-    perms = list(itertools.permutations(range(1, size + 1)))
-    reps = {}
-    for es in edge_sets:
-        best = None
-        for p in perms:
-            if side == "col":
-                mapped = tuple(sorted((i, p[j - 1]) for i, j in es))
-            else:
-                mapped = tuple(sorted((p[i - 1], j) for i, j in es))
-            if best is None or mapped < best:
-                best = mapped
-        reps.setdefault(best, frozenset(best))
-    return sorted(reps.values(), key=sorted)
-
-
-def _bounded_degree_sets(a: int, b: int, m: int, cap: int):
-    """All bipartite edge sets on [a] x [b] with maximum degree <= m."""
-    out = [frozenset()]
-    for i in range(1, a + 1):
-        nxt = []
-        for es in out:
-            coldeg = {}
-            for _, j in es:
-                coldeg[j] = coldeg.get(j, 0) + 1
-            open_cols = [j for j in range(1, b + 1) if coldeg.get(j, 0) < m]
-            for r in range(0, min(m, len(open_cols)) + 1):
-                for cols in itertools.combinations(open_cols, r):
-                    nxt.append(es | {(i, j) for j in cols})
-                    if len(nxt) + len(out) > cap:
-                        raise CapExceeded("too many cross-edge choices for one pair")
-        out = nxt
-    return out
-
-
-def _spanning_forest(g: Multigraph):
-    """BFS forest; returns {pair_key: child_vertex} for tree edges."""
-    tree = {}
-    seen = set()
-    for root in g.vertices():
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w in g.neighbors(v):
-                if w in seen:
-                    continue
-                seen.add(w)
-                key = (v, w) if v < w else (w, v)
-                tree[key] = w
-                queue.append(w)
-    return tree
-
-
-def enumerate_degree_covers(g: Multigraph, maximal_only: bool = True,
-                            config: Config = DEFAULT):
-    """Yield degree covers of a connected multigraph, up to gauge equivalence.
-
-    Every list has size equal to the vertex degree.  With maximal_only, each
-    pair's cross edges form a union of exactly multiplicity(u, v) maximum
-    matchings; every degree cover extends to such a cover and extending never
-    creates a transversal, so this restricted stream suffices for detecting
-    the existence of an uncolorable degree cover.
-
-    Gauge fixing: along a BFS spanning tree each newly reached vertex's list
-    is relabeled to put the tree-edge matching into a canonical position, so
-    the stream covers every gauge class at least once (residual symmetry is
-    not fully quotiented).
-    """
-    if not g.is_connected():
-        raise ValueError("degree-cover enumeration needs a connected multigraph")
-    total = sum(g.degrees())
-    if total > config.max_total_degree:
-        raise CapExceeded(f"total degree {total} exceeds cap {config.max_total_degree}")
-    sizes = g.degrees()
-    tree = _spanning_forest(g)
-    pair_keys = []
-    choice_lists = []
-    for u, v, m in g.pairs():
-        a, b = sizes[u - 1], sizes[v - 1]
-        child = tree.get((u, v))
-        cap = config.max_pair_choices
-        if maximal_only:
-            if child is None:
-                choices = _unions_of_maximum_matchings(a, b, m, cap)
-            elif m == 1:
-                parent_size, child_size = (b, a) if child == u else (a, b)
-                if parent_size <= child_size:
-                    choices = [frozenset((i, i) for i in range(1, min(a, b) + 1))]
-                else:
-                    # child side is smaller; parent's matched colors are the
-                    # only gauge-invariant data
-                    choices = []
-                    small, large = min(a, b), max(a, b)
-                    for subset in itertools.combinations(range(1, large + 1), small):
-                        if child == v:
-                            choices.append(frozenset((subset[t], t + 1) for t in range(small)))
-                        else:
-                            choices.append(frozenset((t + 1, subset[t]) for t in range(small)))
-            else:
-                unions = _unions_of_maximum_matchings(a, b, m, cap)
-                side = "col" if child == v else "row"
-                choices = _canonical_under_side(unions, side, b if child == v else a)
-        else:
-            sets = _bounded_degree_sets(a, b, m, cap)
-            if child is not None:
-                side = "col" if child == v else "row"
-                choices = _canonical_under_side(sets, side, b if child == v else a)
-            else:
-                choices = sorted(sets, key=sorted)
-        pair_keys.append((u, v))
-        choice_lists.append(choices)
-    for combo in itertools.product(*choice_lists):
-        cross = {key: es for key, es in zip(pair_keys, combo) if es}
-        yield Cover(g, sizes, cross)
 
 
 def random_degree_cover(g: Multigraph, rng) -> Cover:

@@ -146,12 +146,6 @@ class Multigraph:
         mult[key] -= 1
         return Multigraph(self.n, mult)
 
-    def delete_vertex(self, v: int) -> "Multigraph":
-        self._check_vertex(v)
-        if self.n == 1:
-            raise ValueError("cannot delete the last vertex")
-        return self.induced([w for w in self.vertices() if w != v])
-
     # -- connectivity ---------------------------------------------------------
 
     def components(self):

@@ -43,7 +43,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from .config import DEFAULT, Config
-from .cover import Cover, Transversal, validate_cover, _spanning_forest
+from .cover import Cover, Transversal, validate_cover
 from .errors import CapExceeded, CoverInvalid, InternalInvariantError
 from .multigraph import Multigraph
 
@@ -178,35 +178,6 @@ def solve(cover: Cover, config: Config = DEFAULT) -> SolveResult:
     return SolveResult(ok, t, nodes, elapsed)
 
 
-def greedy_color(cover: Cover, order) -> Transversal | None:
-    """Color vertices in the given order, always taking the lowest color not
-    conflicting with already-chosen colors.  Returns None on failure.
-
-    Succeeds whenever every vertex, at its turn, has fewer committed
-    cross-neighbors than list size; in particular for any cover with list
-    sizes above the degeneracy when the order reverses an elimination order.
-    """
-    seq = list(order)
-    n = cover.base.n
-    if sorted(seq) != list(range(1, n + 1)):
-        raise ValueError("order must be a permutation of the vertices")
-    nbr = _neighbor_masks(cover)
-    avail = [(1 << cover.size(v)) - 1 for v in range(1, n + 1)]
-    chosen = [0] * n
-    done = set()
-    for v in seq:
-        dom = avail[v - 1]
-        if dom == 0:
-            return None
-        i = (dom & -dom).bit_length()
-        chosen[v - 1] = i
-        done.add(v)
-        for u, umasks in nbr[v].items():
-            if u not in done:
-                avail[u - 1] &= ~umasks[i - 1]
-    return Transversal(tuple(chosen))
-
-
 # -- search for an uncolorable cover -------------------------------------------
 
 
@@ -271,6 +242,27 @@ def _class_masks(sizes):
         masks.append([row << (c * stride) for c in range(s)])
         period = stride
     return masks
+
+
+def _spanning_forest(g: Multigraph):
+    """BFS forest; returns {pair_key: child_vertex} for tree edges."""
+    tree = {}
+    seen = set()
+    for root in g.vertices():
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = [root]
+        while queue:
+            v = queue.pop(0)
+            for w in g.neighbors(v):
+                if w in seen:
+                    continue
+                seen.add(w)
+                key = (v, w) if v < w else (w, v)
+                tree[key] = w
+                queue.append(w)
+    return tree
 
 
 def _search_blocking_cells(g: Multigraph, sizes, config: Config):

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from dpcolor import (CompletePower, CyclePower, Multigraph, Other,
+from dpcolor import (CompletePower, Cover, CyclePower, Multigraph, Other,
                      assemble_witness, build_bad_complete, build_bad_cycle,
                      decide_degree_colorable, decide_degree_colorable_any,
-                     degree_colorable_oracle, glue, is_valid_cover, solve)
+                     degree_colorable_oracle, is_valid_cover, solve)
 from oracles import random_connected_multigraph
 
 
@@ -25,8 +25,12 @@ def test_bowtie_witness_is_the_glued_construction():
     verdict = decide_degree_colorable(bowtie())
     assert not verdict.colorable
     assert [cls for _, cls in verdict.reason] == [CompletePower(3, 1)] * 2
-    tri = build_bad_complete(3, 1)
-    assert verdict.witness == glue(tri, tri, 1, 1)
+    # two copies of build_bad_complete(3, 1) sharing vertex 1, whose list is
+    # the two triangle lists one after the other
+    assert verdict.witness == Cover(bowtie(), (4, 2, 2, 2, 2), {
+        (1, 2): {(1, 1), (2, 2)}, (1, 3): {(1, 1), (2, 2)},
+        (2, 3): {(1, 1), (2, 2)}, (1, 4): {(3, 1), (4, 2)},
+        (1, 5): {(3, 1), (4, 2)}, (4, 5): {(1, 1), (2, 2)}})
     assert not solve(verdict.witness).colorable
 
 

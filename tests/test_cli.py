@@ -1,3 +1,6 @@
+import concurrent.futures
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,11 @@ import dpcolor.solver
 from dpcolor import (Multigraph, build_bad_complete, format_cover,
                      format_multigraph, parse_cover, product_reduction, solve)
 from dpcolor.cli import main
+from dpcolor.cover import MAX_LIST_SIZE
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 
 
 def write(path, text):
@@ -117,6 +125,31 @@ def test_reduce_bad_lists(tmp_path, k3_file):
     assert main(["reduce", k3_file, lists]) == 2
 
 
+def test_reduce_rejects_vertex_out_of_range(tmp_path, capsys, k3_file):
+    for bad in ("99", "0", "-1"):
+        lists = write(tmp_path / "bad.lists", f"1 a b\n{bad} a b\n2 a\n3 b\n")
+        assert main(["reduce", k3_file, lists]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: line 2: vertex {bad} out of range 1..3\n"
+
+
+def test_reduce_refuses_a_list_above_the_size_cap(tmp_path, capsys, k3_file):
+    long = " ".join(f"c{i}" for i in range(MAX_LIST_SIZE + 1))
+    lists = write(tmp_path / "long.lists", f"1 a\n2 {long}\n3 a\n")
+    assert main(["reduce", k3_file, lists]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"resource cap: list size {MAX_LIST_SIZE + 1} of vertex 2 "
+                            f"exceeds cap {MAX_LIST_SIZE}\n")
+    at_cap = " ".join(f"c{i}" for i in range(MAX_LIST_SIZE))
+    lists = write(tmp_path / "cap.lists", f"1 {at_cap}\n2 {at_cap}\n3 {at_cap}\n")
+    out_cover = str(tmp_path / "cap.cover")
+    assert main(["reduce", k3_file, lists, "-o", out_cover]) == 0
+    assert main(["--format", "lines", "solve", k3_file, out_cover]) == 0
+    assert capsys.readouterr().out == "colorable 1 2 3\n"
+
+
 def test_census_lines(capsys):
     assert main(["--format", "lines", "census", "--max-n", "3", "--max-mult", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -136,6 +169,26 @@ def test_census_text_header(capsys):
     assert out.startswith("# id n 2E chi_dp slack verdict")
 
 
+def test_census_workers_match_serial(monkeypatch, capsys):
+    mapped = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            results = list(super().map(fn, *iterables, **kwargs))
+            mapped.append(len(results))
+            return iter(results)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    argv = ["census", "--max-n", "3", "--max-mult", "2"]
+    assert main(argv + ["--workers", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert mapped == []
+    assert main(argv + ["--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert mapped == [10]  # the pool made every record
+    assert len(serial.splitlines()) == 11  # a header and 10 records
+
+
 def test_missing_file_is_parse_error(capsys):
     assert main(["chi-dp", "/nonexistent/file.graph"]) == 2
 
@@ -151,6 +204,15 @@ def test_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DPCOLOR_NODE_BUDGET", "1")
     gra = write(tmp_path / "k4.graph", format_multigraph(Multigraph.complete(4, 2)))
     assert main(["chi-dp", gra]) == 3
+
+
+def test_env_error_names_the_variable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DPCOLOR_NODE_BUDGET", "abc")
+    gra = write(tmp_path / "k3.graph", format_multigraph(Multigraph.complete(3)))
+    assert main(["chi-dp", gra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: DPCOLOR_NODE_BUDGET='abc' is not an integer\n"
 
 
 def test_solve_long_path_cover_exit_0(tmp_path, capsys):
@@ -216,3 +278,17 @@ def test_import_leaves_out_dataclasses():
     code = (f"import sys; sys.path.insert(0, {src!r}); import dpcolor.cli, dpcolor.census; "
             "sys.exit('dataclasses' in sys.modules)")
     assert subprocess.run([sys.executable, "-S", "-c", code]).returncode == 0
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
+def test_golden_corpus(case, tmp_path, monkeypatch, capsys):
+    """Stdout, exit code and written files match the recorded corpus byte
+    for byte.  An argument "@name" is the input file tests/data/name; output
+    files are written to the working directory."""
+    monkeypatch.chdir(tmp_path)
+    argv = [str(DATA / a[1:]) if a.startswith("@") else a for a in case["argv"]]
+    assert main(argv) == case["exit"]
+    assert capsys.readouterr().out == case["stdout"]
+    assert sorted(os.listdir(tmp_path)) == sorted(case["files"])
+    for name, text in case["files"].items():
+        assert (tmp_path / name).read_text() == text

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from dpcolor import (CapExceeded, Cover, Multigraph, ParseError,
-                     build_bad_complete, build_bad_cycle,
-                     enumerate_degree_covers, format_cover, glue,
+                     build_bad_complete, build_bad_cycle, format_cover,
                      is_valid_cover, iter_violations, parse_cover,
                      permute_colors, product_reduction, random_degree_cover,
                      reduce_list, solve, validate_cover)
@@ -48,6 +47,8 @@ def test_reduce_list_matchings():
     assert shared.cross == {(1, 2): frozenset({(1, 1), (2, 2)})}
     disjoint = reduce_list(k2, {1: ["a", "b"], 2: ["c", "d"]})
     assert disjoint.cross == {}
+    crossed = reduce_list(k2, {1: ["a", "b", "c"], 2: ["c", "x", "a"]})
+    assert crossed.cross == {(1, 2): frozenset({(1, 3), (3, 1)})}
     assert is_valid_cover(shared)
 
 
@@ -114,37 +115,6 @@ def test_bad_cycle_on_triangle_matches_bad_complete():
         assert build_bad_cycle(3, k) == build_bad_complete(3, k)
 
 
-def test_glue_bowtie():
-    tri = build_bad_complete(3, 1)
-    bow = glue(tri, tri, 1, 1)
-    assert bow.base.n == 5
-    assert bow.list_sizes == (4, 2, 2, 2, 2)
-    assert is_valid_cover(bow)
-    assert brute_force_transversal(bow) is None
-
-
-def test_glue_path_from_two_edges():
-    b = build_bad_complete(2, 1)
-    path = glue(b, b, 2, 1)
-    assert path.base == Multigraph.path(3)
-    assert path.list_sizes == (1, 2, 1)
-    assert brute_force_transversal(path) is None  # all 1*2*1 choices blocked
-
-
-def test_glue_preserves_validity():
-    rng = random.Random(5)
-    for _ in range(20):
-        g1 = random_connected_multigraph(rng, 4, 2)
-        g2 = random_connected_multigraph(rng, 4, 2)
-        c1 = random_degree_cover(g1, rng)
-        c2 = random_degree_cover(g2, rng)
-        w1 = rng.randint(1, g1.n)
-        w2 = rng.randint(1, g2.n)
-        glued = glue(c1, c2, w1, w2)
-        assert is_valid_cover(glued)
-        assert glued.size(w1) == c1.size(w1) + c2.size(w2)
-
-
 def test_permute_colors_round_trip():
     cover = build_bad_cycle(4, 1)
     perms = {1: (2, 1), 3: (2, 1)}
@@ -165,45 +135,6 @@ def test_permute_colors_preserves_coloring_count():
                  for v in g.vertices()}
         relabeled = permute_colors(cover, perms)
         assert brute_count_transversals(cover) == brute_count_transversals(relabeled)
-
-
-def test_enumerate_degree_covers_k2():
-    covers = list(enumerate_degree_covers(Multigraph.complete(2)))
-    assert len(covers) == 1
-    assert brute_force_transversal(covers[0]) is None
-    loose = list(enumerate_degree_covers(Multigraph.complete(2), maximal_only=False))
-    assert len(loose) == 2  # empty matching and the full one
-
-
-def test_enumerate_degree_covers_c3():
-    covers = list(enumerate_degree_covers(Multigraph.cycle(3)))
-    # tree normalization leaves the one co-tree matching free: straight or twisted
-    assert len(covers) == 2
-    results = sorted(solve(c).colorable for c in covers)
-    assert results == [False, True]
-
-
-def test_enumerate_degree_covers_k1():
-    covers = list(enumerate_degree_covers(Multigraph(1)))
-    assert len(covers) == 1
-    assert covers[0].list_sizes == (0,)
-    assert brute_force_transversal(covers[0]) is None
-
-
-def test_enumerate_degree_covers_all_valid():
-    rng = random.Random(17)
-    for _ in range(8):
-        g = random_connected_multigraph(rng, 3, 2)
-        for cover in enumerate_degree_covers(g):
-            assert is_valid_cover(cover)
-            assert cover.list_sizes == g.degrees()
-
-
-def test_enumerate_degree_covers_caps():
-    with pytest.raises(CapExceeded):
-        list(enumerate_degree_covers(Multigraph.complete(5, 2)))
-    with pytest.raises(ValueError):
-        list(enumerate_degree_covers(Multigraph(2)))  # disconnected
 
 
 def test_random_degree_cover_seeded():

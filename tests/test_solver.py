@@ -9,8 +9,7 @@ from dpcolor import (CapExceeded, Config, Cover, CoverInvalid,
                      InternalInvariantError, Multigraph,
                      Transversal, build_bad_complete, build_bad_cycle,
                      check_transversal, chi_dp, degree_colorable_oracle,
-                     enumerate_degree_covers, find_uncolorable_cover,
-                     greedy_color, is_valid_cover, permute_colors,
+                     find_uncolorable_cover, is_valid_cover, permute_colors,
                      product_reduction, random_degree_cover, solve)
 from dpcolor.solver import _class_masks
 from oracles import (brute_chromatic_number, brute_cover_count,
@@ -85,27 +84,17 @@ def test_solve_rejects_invalid_and_budget():
         solve(build_bad_complete(4, 2), tight)
 
 
-def test_greedy_color():
-    cover = product_reduction(Multigraph.complete(3), 3)
-    t = greedy_color(cover, (1, 2, 3))
-    assert t is not None and len(set(t.choice)) == 3
-    for order in itertools.permutations((1, 2, 3, 4)):
-        assert greedy_color(build_bad_cycle(4, 1), order) is None
-    with pytest.raises(ValueError):
-        greedy_color(cover, (1, 2))
-
-
 def test_greedy_succeeds_with_surplus_everywhere():
+    # a list longer than the degree everywhere leaves a free color at every
+    # vertex in any greedy order, so a transversal must exist
     rng = random.Random(21)
     for _ in range(15):
         g = random_connected_multigraph(rng, 4, 2)
         cover = random_degree_cover(g, rng)
         sizes = [s + 1 for s in cover.list_sizes]
         enlarged = Cover(g, sizes, cover.cross)
-        order = list(g.vertices())
-        rng.shuffle(order)
-        t = greedy_color(enlarged, order)
-        assert t is not None and check_transversal(enlarged, t)
+        res = solve(enlarged)
+        assert res.colorable and check_transversal(enlarged, res.transversal)
 
 
 def test_chi_dp_examples():
@@ -178,14 +167,18 @@ def test_oracle_rejects_a_bad_witness(monkeypatch):
 def test_oracle_agrees_with_enumeration():
     rng = random.Random(41)
     seen = set()
+    checked = 0
     for _ in range(10):
         g = random_connected_multigraph(rng, 3, 2)
         if g in seen:
             continue
         seen.add(g)
-        by_search = degree_colorable_oracle(g)[0]
-        by_enumeration = all(solve(c).colorable for c in enumerate_degree_covers(g))
-        assert by_search == by_enumeration
+        if brute_cover_count(g, g.degrees()) > 50_000:
+            continue  # the brute force would take too long
+        checked += 1
+        colorable = degree_colorable_oracle(g)[0]
+        assert colorable == (not brute_uncolorable_cover_exists(g, g.degrees())), g
+    assert checked == 5
 
 
 def test_gauge_invariance_of_solve():
