@@ -6,6 +6,8 @@ import os
 from typing import NamedTuple
 
 _ENV_PREFIX = "DPCOLOR_"
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
 
 class Config(NamedTuple):
@@ -23,28 +25,37 @@ class Config(NamedTuple):
     strict: bool = False                  # reject invalid cover files at parse time
     output_format: str = "text"           # "text" | "lines"
 
-    def checked(self) -> "Config":
+    def checked(self, names=None) -> "Config":
         """Returns self, or raises ValueError for a cap below 1 or an unknown
-        output format."""
+        output format, naming a field as names maps it (default: itself)."""
+        names = names or {}
         for name in ("node_budget", "max_total_degree",
                      "max_transversal_space", "worker_count"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{names.get(name, name)} must be positive")
         if self.output_format not in ("text", "lines"):
-            raise ValueError("output_format must be 'text' or 'lines'")
+            raise ValueError(f"{names.get('output_format', 'output_format')} "
+                             "must be 'text' or 'lines'")
         return self
 
     @classmethod
     def from_env(cls, **overrides) -> "Config":
-        """Build a config from DPCOLOR_* environment variables plus overrides."""
-        values = {}
+        """Build a config from DPCOLOR_* environment variables plus overrides.
+        A bad variable value raises ValueError naming the variable."""
+        values, names = {}, {}
         for name, default in cls._field_defaults.items():
             var = _ENV_PREFIX + name.upper()
             raw = os.environ.get(var)
             if raw is None:
                 continue
+            if name not in overrides:
+                names[name] = f"{var}={raw!r}"
             if isinstance(default, bool):
-                values[name] = raw.strip().lower() in ("1", "true", "yes", "on")
+                word = raw.strip().lower()
+                if word not in _TRUE + _FALSE:
+                    raise ValueError(f"{var}={raw!r} is not a boolean "
+                                     "(1/true/yes/on or 0/false/no/off)")
+                values[name] = word in _TRUE
             elif isinstance(default, int):
                 try:
                     values[name] = int(raw)
@@ -53,7 +64,7 @@ class Config(NamedTuple):
             else:
                 values[name] = raw
         values.update(overrides)
-        return cls(**values).checked()
+        return cls(**values).checked(names)
 
 
 DEFAULT = Config()

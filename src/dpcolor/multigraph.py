@@ -2,7 +2,8 @@
 
 Multiplicities are stored sparsely: a pair (u, v) with u < v maps to the
 number of parallel edges between u and v (at least 1; absent means 0).
-Instances are immutable after construction and safe to share across workers.
+Instances are immutable and safe to share across workers; only the adjacency
+is built later, on first use, so a graph used only as a cover base has none.
 """
 
 from __future__ import annotations
@@ -36,11 +37,7 @@ class Multigraph:
                 raise ValueError(f"conflicting multiplicities for pair {key}")
             norm[key] = k
         self._mult = norm
-        adj = {v: [] for v in range(1, n + 1)}
-        for (u, v) in norm:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
+        self._adj = None
         deg = [0] * (n + 1)
         for (u, v), k in norm.items():
             deg[u] += k
@@ -93,7 +90,17 @@ class Multigraph:
 
     def neighbors(self, v: int) -> tuple:
         self._check_vertex(v)
-        return self._adj[v]
+        return self._adjacency()[v]
+
+    def _adjacency(self) -> dict:
+        """{v: sorted tuple of v's neighbors}, built on first use and cached."""
+        if self._adj is None:
+            adj = {v: [] for v in range(1, self.n + 1)}
+            for (u, v) in self._mult:
+                adj[u].append(v)
+                adj[v].append(u)
+            self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
+        return self._adj
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -150,6 +157,7 @@ class Multigraph:
 
     def components(self):
         """Connected components as sorted vertex tuples, ordered by minimum."""
+        adj = self._adjacency()
         seen = set()
         comps = []
         for start in self.vertices():
@@ -160,7 +168,7 @@ class Multigraph:
             seen.add(start)
             while stack:
                 v = stack.pop()
-                for w in self._adj[v]:
+                for w in adj[v]:
                     if w not in comp:
                         comp.add(w)
                         seen.add(w)
@@ -177,6 +185,7 @@ class Multigraph:
         Computed by repeatedly deleting a minimum-degree vertex; degrees count
         multiplicity.
         """
+        adj = self._adjacency()
         deg = {v: self._deg[v] for v in self.vertices()}
         alive = set(self.vertices())
         best = 0
@@ -184,7 +193,7 @@ class Multigraph:
             v = min(alive, key=lambda x: (deg[x], x))
             best = max(best, deg[v])
             alive.remove(v)
-            for w in self._adj[v]:
+            for w in adj[v]:
                 if w in alive:
                     deg[w] -= self.multiplicity(v, w)
         return best
@@ -262,6 +271,7 @@ def _articulation_data(g: Multigraph):
 
     Returns (blocks as edge lists, cut vertex set, isolated vertices).
     """
+    adj = g._adjacency()
     disc = {}
     low = {}
     cuts = set()
@@ -271,14 +281,14 @@ def _articulation_data(g: Multigraph):
     for start in g.vertices():
         if start in disc:
             continue
-        if not g.neighbors(start):
+        if not adj[start]:
             isolated.append(start)
             continue
         disc[start] = low[start] = timer
         timer += 1
         estack = []
         root_pops = 0
-        stack = [(start, None, iter(g.neighbors(start)))]
+        stack = [(start, None, iter(adj[start]))]
         while stack:
             v, parent, it = stack[-1]
             pushed = False
@@ -289,7 +299,7 @@ def _articulation_data(g: Multigraph):
                     estack.append((v, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, iter(g.neighbors(w))))
+                    stack.append((w, v, iter(adj[w])))
                     pushed = True
                     break
                 if disc[w] < disc[v]:

@@ -4,12 +4,15 @@ Two engines live here:
 
 * ``solve`` decides whether one given cover admits a transversal, by
   backtracking over vertices with minimum-remaining-domain ordering and
-  forward pruning.  The backtracking runs on an explicit stack, so its depth
-  is not limited by Python's recursion limit, and the next vertex comes from
-  a heap keyed by (domain size, vertex), rebuilt whenever outdated entries
-  make it longer than 4n.  Answers are exact: "uncolorable"
-  always means the search space was exhausted, never that a budget ran out
-  (budget aborts raise).
+  forward pruning.  One walk over the cross edges both builds the per-color
+  conflict masks and decides the cover conditions; only a cover that fails
+  it goes on to ``validate_cover``, which words the violation.
+  ``SolveResult.time`` spans that walk and the search.  The backtracking
+  runs on an explicit stack, so its depth is not limited by Python's
+  recursion limit, and the next vertex comes from a heap keyed by (domain
+  size, vertex), rebuilt whenever outdated entries make it longer than 4n.
+  Answers are exact: "uncolorable" always means the search space was
+  exhausted, never that a budget ran out (budget aborts raise).
 
 * ``find_uncolorable_cover`` searches for a cover with prescribed list sizes
   that admits no transversal at all.  Rather than enumerating covers and
@@ -69,16 +72,28 @@ def check_transversal(cover: Cover, t) -> bool:
     return True
 
 
-def _neighbor_masks(cover: Cover):
-    """nbr[v][u][i-1] = bitmask of u-colors conflicting with color (v, i)."""
-    n = cover.base.n
-    nbr = {v: {} for v in range(1, n + 1)}
+def _conflict_masks(cover: Cover):
+    """nbr[v] = [(u, masks)], vertices 0-based: masks[i - 1] is the bitmask of
+    u's colors conflicting with color i of v.  None if the cover breaks a
+    cover condition; edges are distinct, so popcounts are bipartite degrees.
+    """
+    sizes = cover.list_sizes
+    multiplicity = cover.base.multiplicity
+    nbr = [[] for _ in sizes]
     for (u, v), edges in cover.cross.items():
-        mu = nbr[u].setdefault(v, [0] * cover.size(u))
-        mv = nbr[v].setdefault(u, [0] * cover.size(v))
+        m = multiplicity(u, v)  # 0 off the base's edges: any degree exceeds it
+        su, sv = sizes[u - 1], sizes[v - 1]
+        mu, mv = [0] * su, [0] * sv
         for i, j in edges:
+            if not (0 < i <= su and 0 < j <= sv):
+                return None
             mu[i - 1] |= 1 << (j - 1)
             mv[j - 1] |= 1 << (i - 1)
+        if len(edges) > m and (max(map(int.bit_count, mu)) > m
+                               or max(map(int.bit_count, mv)) > m):
+            return None
+        nbr[u - 1].append((v - 1, mu))
+        nbr[v - 1].append((u - 1, mv))
     return nbr
 
 
@@ -89,52 +104,42 @@ def solve(cover: Cover, config: Config = DEFAULT) -> SolveResult:
     vertex) and colors tried in index order.  Raises CoverInvalid for covers
     that fail validation and CapExceeded when the node budget runs out.
     """
-    viol = validate_cover(cover)
-    if viol is not None:
-        raise CoverInvalid(str(viol))
     start = time.perf_counter()
-    n = cover.base.n
-    nbr = _neighbor_masks(cover)
-    domains = [(1 << cover.size(v)) - 1 for v in range(1, n + 1)]
+    nbr = _conflict_masks(cover)
+    if nbr is None:
+        raise CoverInvalid(str(validate_cover(cover)))
+    heappush, heappop = heapq.heappush, heapq.heappop
+    n = len(nbr)
+    limit = 4 * n
+    domains = [(1 << s) - 1 for s in cover.list_sizes]
     chosen = [0] * n
-    assigned = [False] * (n + 1)
+    assigned = [False] * n
     # one entry (domain size, vertex) per unassigned vertex is always current;
     # entries of assigned vertices or of outdated sizes are skipped when met,
-    # and once they pile up the heap is rebuilt from the current entries
-    heap = []
+    # and once they pile up past 4n the heap is rebuilt from the current ones
+    heap = [(s, v) for v, s in enumerate(cover.list_sizes)]
+    heapq.heapify(heap)
 
     def rebuild():
-        heap[:] = [(domains[v - 1].bit_count(), v) for v in range(1, n + 1)
-                   if not assigned[v]]
+        heap[:] = [(domains[u].bit_count(), u) for u in range(n) if not assigned[u]]
         heapq.heapify(heap)
 
-    def push(v):
-        heapq.heappush(heap, (domains[v - 1].bit_count(), v))
-        if len(heap) > 4 * n:
-            rebuild()
-
-    rebuild()
     frames = []  # per assigned vertex: [vertex, untried colors, saved domains]
     nodes = 0
     budget = config.node_budget
-
-    def pick():
-        while heap:
-            size, v = heap[0]
-            if not assigned[v] and size == domains[v - 1].bit_count():
-                return v
-            heapq.heappop(heap)
-        return 0
-
     ok = False
     while True:
-        v = pick()
-        if not v:
+        while heap:  # pick: drop outdated entries off the top
+            size, v = heap[0]
+            if not assigned[v] and size == domains[v].bit_count():
+                break
+            heappop(heap)
+        else:
             ok = True
             break
-        dom = domains[v - 1]
+        dom = domains[v]
         if dom:
-            heapq.heappop(heap)
+            heappop(heap)
             assigned[v] = True
             frames.append([v, dom, ()])
         # try the next color of the innermost vertex, backtracking when none
@@ -143,30 +148,36 @@ def solve(cover: Cover, config: Config = DEFAULT) -> SolveResult:
             frame = frames[-1]
             v, dom, saved = frame
             for u, old in saved:
-                domains[u - 1] = old
-                push(u)
+                domains[u] = old
+                heappush(heap, (old.bit_count(), u))
+                if len(heap) > limit:
+                    rebuild()
             if not dom:
                 frames.pop()
-                chosen[v - 1] = 0
+                chosen[v] = 0
                 assigned[v] = False
-                push(v)
+                heappush(heap, (domains[v].bit_count(), v))
+                if len(heap) > limit:
+                    rebuild()
                 continue
             i = (dom & -dom).bit_length()
             frame[1] = dom & (dom - 1)
             nodes += 1
             if nodes > budget:
                 raise CapExceeded(f"solve exceeded node budget {budget}")
-            chosen[v - 1] = i
+            chosen[v] = i
             saved = []
             alive = True
-            for u, umasks in nbr[v].items():
+            for u, umasks in nbr[v]:
                 if not assigned[u]:
-                    old = domains[u - 1]
+                    old = domains[u]
                     new = old & ~umasks[i - 1]
                     if new != old:
                         saved.append((u, old))
-                        domains[u - 1] = new
-                        push(u)
+                        domains[u] = new
+                        heappush(heap, (new.bit_count(), u))
+                        if len(heap) > limit:
+                            rebuild()
                         alive = alive and new != 0
             frame[2] = saved
             if alive:

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import dpcolor.cli
+import dpcolor.cover
 import dpcolor.solver
-from dpcolor import (Multigraph, build_bad_complete, format_cover,
+from dpcolor import (Config, Multigraph, build_bad_complete, format_cover,
                      format_multigraph, parse_cover, product_reduction, solve)
 from dpcolor.cli import main
 from dpcolor.cover import MAX_LIST_SIZE
@@ -215,6 +216,39 @@ def test_env_error_names_the_variable(tmp_path, monkeypatch, capsys):
     assert captured.err == "input error: DPCOLOR_NODE_BUDGET='abc' is not an integer\n"
 
 
+@pytest.mark.parametrize("raw", ["maybe", "2", "", "tru"])
+def test_env_bad_boolean_names_the_variable(raw, k3_file, monkeypatch, capsys):
+    monkeypatch.setenv("DPCOLOR_STRICT", raw)
+    assert main(["chi-dp", k3_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: DPCOLOR_STRICT={raw!r} is not a boolean "
+                            "(1/true/yes/on or 0/false/no/off)\n")
+
+
+@pytest.mark.parametrize("raw,want", [("1", True), (" Yes ", True), ("ON", True),
+                                      ("true", True), ("0", False), ("off", False),
+                                      ("No", False), ("FALSE", False)])
+def test_env_boolean_spellings(raw, want, monkeypatch):
+    monkeypatch.setenv("DPCOLOR_STRICT", raw)
+    assert Config.from_env().strict is want
+
+
+def test_env_out_of_range_names_the_variable(k3_file, monkeypatch, capsys):
+    monkeypatch.setenv("DPCOLOR_NODE_BUDGET", "0")
+    assert main(["chi-dp", k3_file]) == 2
+    assert capsys.readouterr().err == "input error: DPCOLOR_NODE_BUDGET='0' must be positive\n"
+    monkeypatch.setenv("DPCOLOR_NODE_BUDGET", "5")
+    monkeypatch.setenv("DPCOLOR_OUTPUT_FORMAT", "xml")
+    assert main(["chi-dp", k3_file]) == 2
+    assert capsys.readouterr().err == ("input error: DPCOLOR_OUTPUT_FORMAT='xml' "
+                                       "must be 'text' or 'lines'\n")
+    # a bad value from a flag still names the field
+    monkeypatch.delenv("DPCOLOR_OUTPUT_FORMAT")
+    assert main(["--node-budget", "0", "chi-dp", k3_file]) == 2
+    assert capsys.readouterr().err == "input error: node_budget must be positive\n"
+
+
 def test_solve_long_path_cover_exit_0(tmp_path, capsys):
     n = 1500
     cover = product_reduction(Multigraph.path(n), 2)
@@ -239,20 +273,28 @@ def test_unexpected_exception_exits_4(tmp_path, monkeypatch, capsys):
 
 
 def test_solve_validates_once(tmp_path, monkeypatch, capsys):
-    calls = []
-    real = dpcolor.solver.validate_cover
-    monkeypatch.setattr(dpcolor.solver, "validate_cover",
-                        lambda cover: calls.append(cover) or real(cover))
+    # cmd_solve checks the cover conditions once, in solve's walk over the
+    # cross edges; only a cover that fails the walk reaches iter_violations,
+    # which words the message
+    walks, reports = [], []
+    walk = dpcolor.solver._conflict_masks
+    report = dpcolor.cover.iter_violations
+    monkeypatch.setattr(dpcolor.solver, "_conflict_masks",
+                        lambda cover: walks.append(cover) or walk(cover))
+    for module in (dpcolor.cover, dpcolor.cli):
+        monkeypatch.setattr(module, "iter_violations",
+                            lambda cover: reports.append(cover) or report(cover))
     gra = write(tmp_path / "g.graph", "2\n1 2 1\n")
     cov = write(tmp_path / "c.cover", "2\n1 2\n1 1 2 1\n1 1 2 2\n")
     assert main(["solve", gra, cov]) == 2
-    assert capsys.readouterr().err.startswith("input error: ")
-    assert len(calls) == 1
+    assert capsys.readouterr().err == ("input error: pair (1, 2), color (1, 1): "
+                                       "bipartite degree 2 exceeds multiplicity 1\n")
+    assert len(walks) == 1 and len(reports) == 1
     good = build_bad_complete(3, 1)
     gra = write(tmp_path / "k3.graph", format_multigraph(good.base))
     cov = write(tmp_path / "k3.cover", format_cover(good))
     assert main(["solve", gra, cov]) == 1
-    assert len(calls) == 2
+    assert len(walks) == 2 and len(reports) == 1
 
 
 def test_huge_vertex_count_is_refused(tmp_path, capsys):

@@ -4,8 +4,8 @@ import pytest
 
 from dpcolor import (CapExceeded, CompletePower, CyclePower, Multigraph,
                      Other, ParseError,
-                     blocks, classify_block, format_multigraph,
-                     parse_multigraph)
+                     blocks, classify_block, format_cover, format_multigraph,
+                     parse_cover, parse_multigraph, product_reduction, solve)
 from dpcolor.multigraph import MAX_VERTICES
 from oracles import brute_degeneracy, random_connected_multigraph
 
@@ -184,3 +184,24 @@ def test_parse_caps_vertex_count():
     # the cap itself is allowed: the parse gets as far as the bad pair line
     with pytest.raises(ParseError):
         parse_multigraph(f"{MAX_VERTICES}\nbad\n")
+
+
+def test_adjacency_built_on_first_use():
+    # a graph used only as a cover base never builds its adjacency; asked
+    # for later, it gives the answers recorded when it was built eagerly
+    text = "5\n1 2 1\n1 3 1\n1 4 1\n1 5 1\n2 3 1\n4 5 1\n"  # the bowtie
+    g = parse_multigraph(text)
+    cover = parse_cover(format_cover(product_reduction(g, 3)), base=g)
+    assert solve(cover).colorable
+    assert g._adj is None
+    assert [g.neighbors(v) for v in g.vertices()] == [(2, 3, 4, 5), (1, 3), (1, 2),
+                                                      (1, 5), (1, 4)]
+    assert g.components() == [(1, 2, 3, 4, 5)]
+    b = blocks(g)
+    assert b.blocks == ((1, 2, 3), (1, 4, 5)) and b.cut_vertices == (1,)
+    assert b.classifications == (CompletePower(3, 1), CompletePower(3, 1))
+    two = parse_multigraph("6\n1 2 1\n1 3 1\n2 3 1\n2 4 1\n3 4 1\n5 6 1\n")
+    assert two.components() == [(1, 2, 3, 4), (5, 6)]
+    assert two.degeneracy() == 2
+    assert [two.neighbors(v) for v in two.vertices()] == [(2, 3), (1, 3, 4), (1, 2, 4),
+                                                          (2, 3), (6,), (5,)]

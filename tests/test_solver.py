@@ -10,7 +10,8 @@ from dpcolor import (CapExceeded, Config, Cover, CoverInvalid,
                      Transversal, build_bad_complete, build_bad_cycle,
                      check_transversal, chi_dp, degree_colorable_oracle,
                      find_uncolorable_cover, is_valid_cover, permute_colors,
-                     product_reduction, random_degree_cover, solve)
+                     product_reduction, random_degree_cover, solve,
+                     validate_cover)
 from dpcolor.solver import _class_masks
 from oracles import (brute_chromatic_number, brute_cover_count,
                      brute_force_transversal, brute_uncolorable_cover_exists,
@@ -260,3 +261,89 @@ def test_cover_search_matches_brute_force(max_n, max_mult, max_size, instances):
             assert witness.list_sizes == sizes
             assert brute_force_transversal(witness) is None
     assert answers == {True, False}
+
+
+def _broken_cover(rng, kind):
+    """A seeded random degree cover, then one change of the given kind:
+    "valid" and "empty" (a zero-size list touched by no cross edge) keep
+    the cover conditions; the other kinds break one."""
+    while True:
+        g = random_connected_multigraph(rng, 4, 2, min_n=2)
+        cover = random_degree_cover(g, rng)
+        sizes = list(cover.list_sizes)
+        cross = {p: set(e) for p, e in cover.cross.items()}
+        u, v, m = rng.choice(g.pairs())
+        su, sv = sizes[u - 1], sizes[v - 1]
+        if kind == "nonadjacent":
+            free = [(a, b) for a in g.vertices() for b in range(a + 1, g.n + 1)
+                    if not g.multiplicity(a, b)]
+            if not free:
+                continue
+            a, b = rng.choice(free)
+            cross[(a, b)] = {(rng.randint(1, sizes[a - 1]), rng.randint(1, sizes[b - 1]))}
+        elif kind in ("index0", "negative", "over"):
+            bad_u, bad_v = {"index0": (0, 0), "negative": (-1, -1),
+                            "over": (su + 1, sv + 1)}[kind]
+            cross[(u, v)].add(rng.choice([(bad_u, rng.randint(1, sv)),
+                                          (rng.randint(1, su), bad_v)]))
+        elif kind == "degree":
+            # raise one row (or, transposed, one column) to degree m + 1
+            flip = rng.random() < 0.5
+            own, other = (sv, su) if flip else (su, sv)
+            if other <= m:
+                continue
+            edges = {(j, i) for i, j in cross[(u, v)]} if flip else cross[(u, v)]
+            i = rng.randint(1, own)
+            row = {j for r, j in edges if r == i}
+            spare = [j for j in range(1, other + 1) if j not in row]
+            rng.shuffle(spare)
+            added = {(i, j) for j in spare[:m + 1 - len(row)]}
+            if flip:
+                added = {(j, i) for i, j in added}
+            cross[(u, v)].update(added)
+        elif kind == "zero":
+            sizes[rng.choice([u, v]) - 1] = 0  # its cross edges now leave the list
+        elif kind == "empty":
+            w = rng.choice(list(g.vertices()))
+            cross = {p: e for p, e in cross.items() if w not in p}
+            sizes[w - 1] = 0
+        return Cover(g, sizes, cross)
+
+
+@pytest.mark.parametrize("kind", ["valid", "empty", "nonadjacent", "index0", "negative",
+                                  "over", "degree", "zero"])
+def test_walk_agrees_with_validate_cover(kind):
+    # solve decides the cover conditions in its walk over the cross edges;
+    # it must raise exactly when validate_cover finds a violation, with
+    # validate_cover's message
+    rng = random.Random(sum(map(ord, kind)))
+    for _ in range(40):
+        cover = _broken_cover(rng, kind)
+        viol = validate_cover(cover)
+        assert (viol is None) == (kind in ("valid", "empty"))
+        assert (dpcolor.solver._conflict_masks(cover) is None) == (viol is not None)
+        if viol is not None:
+            with pytest.raises(CoverInvalid) as err:
+                solve(cover)
+            assert str(err.value) == str(viol)
+            continue
+        res = solve(cover)
+        assert res.colorable == (brute_force_transversal(cover) is not None)
+        if res.colorable:
+            assert check_transversal(cover, res.transversal)
+
+
+@pytest.mark.parametrize("build,nodes,choice", [
+    (lambda: build_bad_complete(4, 1), 15, None),
+    (lambda: build_bad_complete(4, 2), 78, None),
+    (lambda: build_bad_complete(5, 1), 64, None),
+    (lambda: build_bad_complete(5, 2), 632, None),
+    (lambda: build_bad_cycle(5, 2), 60, None),
+    (lambda: product_reduction(Multigraph.path(2000), 2), 2000, (1, 2) * 1000),
+], ids=["K4", "K4x2", "K5", "K5x2", "C5x2", "path2000"])
+def test_solve_pinned_nodes_and_choice(build, nodes, choice):
+    # node counts and transversals recorded before the search loop was
+    # inlined; the pick rule must not change them
+    res = solve(build())
+    assert res.nodes_explored == nodes
+    assert (res.transversal.choice if res.colorable else None) == choice
