@@ -11,9 +11,7 @@ pulls in inspect and ast, about 1 MB of resident memory per process.
 
 from .census import (are_isomorphic, canonical_key, connected_multigraphs,
                      connected_simple_graphs, gdp_trees)
-from .characterization import (ComponentVerdict, DegreeColorabilityVerdict,
-                               assemble_witness, decide_degree_colorable,
-                               decide_degree_colorable_any)
+from .characterization import DegreeColorabilityVerdict, decide_degree_colorable
 from .config import DEFAULT, Config
 from .cover import (Cover, Transversal, Violation, build_bad_complete,
                     build_bad_cycle, format_cover, is_valid_cover,
@@ -35,20 +33,18 @@ from .solver import (SolveResult, check_transversal, chi_dp,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDecomposition", "CapExceeded", "CompletePower", "ComponentVerdict",
-    "Config", "Cover", "CoverInvalid", "CriticalityReport", "CyclePower",
-    "DEFAULT", "DegreeColorabilityVerdict", "GdpPrecondition",
-    "InternalInvariantError", "Multigraph", "Other", "ParseError",
-    "SolveResult", "Transversal", "Violation", "are_isomorphic",
-    "assemble_witness", "blocks", "build_bad_complete", "build_bad_cycle",
-    "canonical_key", "check_bound_multigraph", "check_bound_simple",
-    "check_critical", "check_gdp_edge_bound", "check_transversal", "chi_dp",
-    "classify_block", "connected_multigraphs", "connected_simple_graphs",
-    "decide_degree_colorable", "decide_degree_colorable_any",
+    "BlockDecomposition", "CapExceeded", "CompletePower", "Config", "Cover",
+    "CoverInvalid", "CriticalityReport", "CyclePower", "DEFAULT",
+    "DegreeColorabilityVerdict", "GdpPrecondition", "InternalInvariantError",
+    "Multigraph", "Other", "ParseError", "SolveResult", "Transversal",
+    "Violation", "are_isomorphic", "blocks", "build_bad_complete",
+    "build_bad_cycle", "canonical_key", "check_bound_multigraph",
+    "check_bound_simple", "check_critical", "check_gdp_edge_bound",
+    "check_transversal", "chi_dp", "classify_block", "connected_multigraphs",
+    "connected_simple_graphs", "decide_degree_colorable",
     "degree_colorable_oracle", "find_uncolorable_cover", "format_cover",
-    "format_multigraph", "gdp_trees",
-    "is_gallai_tree", "is_gdp_tree", "is_valid_cover", "iter_violations",
-    "parse_cover", "parse_multigraph", "permute_colors", "product_reduction",
-    "random_degree_cover", "reduce_list", "simple_critical_coefficient",
-    "solve", "validate_cover",
+    "format_multigraph", "gdp_trees", "is_gallai_tree", "is_gdp_tree",
+    "is_valid_cover", "iter_violations", "parse_cover", "parse_multigraph",
+    "permute_colors", "product_reduction", "random_degree_cover",
+    "reduce_list", "simple_critical_coefficient", "solve", "validate_cover",
 ]

@@ -1,10 +1,14 @@
 """Degree-colorability decided from block structure, with witness covers.
 
 A connected multigraph admits an uncolorable degree cover exactly when every
-block is a uniform power of a complete graph or of a cycle.  The decision is
-purely structural (block decomposition plus classification); when the answer
-is negative, an explicit uncolorable degree cover is assembled from the
-per-block constructions by concatenating lists at the cut vertices.
+block is a uniform power of a complete graph or of a cycle.  A cover
+restricts independently to components, so any multigraph is decided by one
+block decomposition of the whole graph, with a verdict per component.  The
+decision is purely structural (block decomposition plus classification);
+when the answer is negative, an explicit uncolorable degree cover is
+assembled from the per-block constructions by concatenating lists at the cut
+vertices, and colorable components get degree-sized lists with no cross
+edges, which leaves the whole cover uncolorable.
 """
 
 from __future__ import annotations
@@ -20,11 +24,7 @@ class DegreeColorabilityVerdict(NamedTuple):
     colorable: bool
     reason: tuple        # (block vertex tuple, classification) per block
     witness: Cover | None  # None when colorable
-
-
-class ComponentVerdict(NamedTuple):
-    vertices: tuple      # component vertices in the original labeling
-    verdict: DegreeColorabilityVerdict  # for the component relabeled 1..m
+    components: tuple    # (component vertex tuple, colorable) per component
 
 
 def _cycle_order(g: Multigraph, vs):
@@ -68,7 +68,8 @@ def _block_cover(g: Multigraph, vs, cls):
 
 
 def _merge_block_covers(g: Multigraph, per_block):
-    """Combine per-block degree covers into one cover of g.
+    """Combine per-block degree covers, as (sizes, cross) parts, into one
+    cover of g.
 
     A cut vertex's list is the concatenation of its lists across blocks (in
     block order), so its size becomes the full degree; the implicit clique on
@@ -92,68 +93,31 @@ def _merge_block_covers(g: Multigraph, per_block):
 
 def decide_degree_colorable(g: Multigraph,
                             build_witness: bool = True) -> DegreeColorabilityVerdict:
-    """Decide whether a connected multigraph is colorable under every degree
-    cover, in polynomial time, from its block classification.
+    """Decide whether a multigraph is colorable under every degree cover, in
+    polynomial time, from its block classification.
 
-    Not colorable exactly when all blocks classify as CompletePower or
-    CyclePower; the verdict then carries an uncolorable degree cover unless
-    build_witness is off.  Note that trees land on the negative side: every
-    block of a tree is a 2-vertex complete graph.
+    A component is not colorable exactly when all its blocks classify as
+    CompletePower or CyclePower, and g is colorable exactly when every
+    component is.  When g is not, the verdict carries an uncolorable degree
+    cover unless build_witness is off: the per-block constructions on the
+    uncolorable components, degree-sized lists with no cross edges on the
+    rest.  Note that trees land on the negative side: every block of a tree
+    is a 2-vertex complete graph.
     """
-    if not g.is_connected():
-        raise ValueError("decision is defined for connected multigraphs; "
-                         "use decide_degree_colorable_any")
     dec = blocks(g)
     reason = tuple(zip(dec.blocks, dec.classifications))
-    if any(isinstance(c, Other) for c in dec.classifications):
-        return DegreeColorabilityVerdict(True, reason, None)
-    if not build_witness:
-        return DegreeColorabilityVerdict(False, reason, None)
-    per_block = [_block_cover(g, vs, cls) for vs, cls in reason]
+    other = {v for vs, cls in reason if isinstance(cls, Other) for v in vs}
+    components = tuple((comp, not other.isdisjoint(comp)) for comp in g.components())
+    colorable = all(ok for _, ok in components)
+    if colorable or not build_witness:
+        return DegreeColorabilityVerdict(colorable, reason, None, components)
+    fine = {v for comp, ok in components if ok for v in comp}  # colorable parts
+    per_block = [_block_cover(g, vs, cls) for vs, cls in reason if vs[0] not in fine]
+    per_block.append(({v: g.degree(v) for v in fine}, {}))
     witness = _merge_block_covers(g, per_block)
     if witness.list_sizes != g.degrees():
         raise InternalInvariantError("witness is not a degree cover")
     viol = validate_cover(witness)
     if viol is not None:
         raise InternalInvariantError(f"witness fails validation: {viol}")
-    return DegreeColorabilityVerdict(False, reason, witness)
-
-
-def decide_degree_colorable_any(g: Multigraph,
-                                build_witness: bool = True):
-    """Per-component verdicts for an arbitrary multigraph.
-
-    A cover restricts independently to components, so the whole multigraph is
-    degree-colorable iff every component is.
-    """
-    out = []
-    for comp in g.components():
-        sub = g.induced(comp)
-        out.append(ComponentVerdict(comp, decide_degree_colorable(sub, build_witness)))
-    return tuple(out)
-
-
-def assemble_witness(g: Multigraph, component_verdicts) -> Cover | None:
-    """Uncolorable degree cover of the whole multigraph, or None if every
-    component is degree-colorable.
-
-    Components with an uncolorable cover contribute it verbatim; the rest get
-    degree-sized lists with no cross edges (a valid degree cover), which
-    leaves the combination uncolorable.
-    """
-    if all(cv.verdict.colorable for cv in component_verdicts):
-        return None
-    sizes = [0] * g.n
-    cross = {}
-    for cv in component_verdicts:
-        comp = cv.vertices  # sorted ascending, so pair order is preserved
-        witness = cv.verdict.witness
-        if cv.verdict.colorable or witness is None:
-            for v in comp:
-                sizes[v - 1] = g.degree(v)
-            continue
-        for local, orig in enumerate(comp, start=1):
-            sizes[orig - 1] = witness.size(local)
-        for (u, v), edges in witness.cross.items():
-            cross[(comp[u - 1], comp[v - 1])] = set(edges)
-    return Cover(g, tuple(sizes), cross)
+    return DegreeColorabilityVerdict(False, reason, witness, components)

@@ -12,10 +12,10 @@ import argparse
 import sys
 
 from .census import connected_multigraphs
-from .characterization import assemble_witness, decide_degree_colorable_any
+from .characterization import decide_degree_colorable
 from .config import Config
-from .cover import (MAX_LIST_SIZE, Cover, format_cover, iter_violations,
-                    parse_cover, reduce_list, validate_cover)
+from .cover import (MAX_LIST_SIZE, format_cover, iter_violations, parse_cover,
+                    reduce_list)
 from .critical import check_bound_multigraph, check_critical
 from .errors import (CapExceeded, CoverInvalid, InternalInvariantError,
                      ParseError)
@@ -33,15 +33,6 @@ def _read(path):
 
 def _load_graph(path) -> Multigraph:
     return parse_multigraph(_read(path))
-
-
-def _load_cover(path, base=None, strict=False) -> Cover:
-    cover = parse_cover(_read(path), base=base)
-    if strict:
-        viol = validate_cover(cover)
-        if viol is not None:
-            raise ParseError(f"strict mode: {viol}")
-    return cover
 
 
 def _parse_lists(text, n):
@@ -75,11 +66,13 @@ def _parse_lists(text, n):
 
 def cmd_validate(args, config):
     base = _load_graph(args.graph) if args.graph else None
-    cover = _load_cover(args.cover, base=base, strict=config.strict)
+    cover = parse_cover(_read(args.cover), base=base)
     violations = list(iter_violations(cover))
     if not violations:
         print("valid")
         return 0
+    if config.strict:
+        raise ParseError(f"strict mode: {violations[0]}")
     for v in violations:
         print(str(v))
     return 1
@@ -87,8 +80,13 @@ def cmd_validate(args, config):
 
 def cmd_solve(args, config):
     g = _load_graph(args.graph)
-    cover = _load_cover(args.cover, base=g, strict=config.strict)
-    res = solve(cover, config)  # validates, raising CoverInvalid
+    cover = parse_cover(_read(args.cover), base=g)
+    try:
+        res = solve(cover, config)  # validates, raising CoverInvalid
+    except CoverInvalid as e:
+        if config.strict:
+            raise ParseError(f"strict mode: {e}") from None
+        raise
     if config.output_format == "lines":
         if res.colorable:
             print("colorable " + " ".join(str(i) for i in res.transversal.choice))
@@ -112,18 +110,14 @@ def cmd_chi_dp(args, config):
 def cmd_degree_colorable(args, config):
     g = _load_graph(args.graph)
     if args.oracle:
-        if not g.is_connected():
-            raise ValueError("--oracle needs a connected multigraph")
         ok, witness = degree_colorable_oracle(g, config)
-        verdicts = None
     else:
-        verdicts = decide_degree_colorable_any(g)
-        ok = all(cv.verdict.colorable for cv in verdicts)
-        witness = None if ok else assemble_witness(g, verdicts)
-    if verdicts is not None and len(verdicts) > 1:
-        for cv in verdicts:
-            state = "degree-colorable" if cv.verdict.colorable else "not-degree-colorable"
-            print(f"component {' '.join(str(v) for v in cv.vertices)}: {state}")
+        verdict = decide_degree_colorable(g)
+        ok, witness = verdict.colorable, verdict.witness
+        if len(verdict.components) > 1:
+            for comp, colorable in verdict.components:
+                state = "degree-colorable" if colorable else "not-degree-colorable"
+                print(f"component {' '.join(str(v) for v in comp)}: {state}")
     print("DEGREE-COLORABLE" if ok else "NOT-DEGREE-COLORABLE")
     if witness is not None and args.witness:
         with open(args.witness, "w") as fh:
@@ -170,8 +164,7 @@ def cmd_reduce(args, config):
 def _census_record(idx, n, pairs, config):
     g = Multigraph.from_edges(n, pairs)
     chi = chi_dp(g, config)
-    verdicts = decide_degree_colorable_any(g, build_witness=False)
-    colorable = all(cv.verdict.colorable for cv in verdicts)
+    colorable = decide_degree_colorable(g, build_witness=False).colorable
     _, slack = check_bound_multigraph(g, chi)
     state = "degree-colorable" if colorable else "not-degree-colorable"
     return (f"g{idx} {g.n} {2 * g.edge_total()} {chi} "

@@ -41,15 +41,15 @@ class Config(NamedTuple):
     @classmethod
     def from_env(cls, **overrides) -> "Config":
         """Build a config from DPCOLOR_* environment variables plus overrides.
-        A bad variable value raises ValueError naming the variable."""
+        A variable whose field is overridden is not read; a bad value of any
+        other raises ValueError naming the variable."""
         values, names = {}, {}
         for name, default in cls._field_defaults.items():
             var = _ENV_PREFIX + name.upper()
             raw = os.environ.get(var)
-            if raw is None:
+            if raw is None or name in overrides:
                 continue
-            if name not in overrides:
-                names[name] = f"{var}={raw!r}"
+            names[name] = f"{var}={raw!r}"
             if isinstance(default, bool):
                 word = raw.strip().lower()
                 if word not in _TRUE + _FALSE:

@@ -24,9 +24,6 @@ class Transversal(NamedTuple):
     """One chosen color index (1-based) per vertex, ordered by vertex."""
     choice: tuple
 
-    def color(self, v: int) -> int:
-        return self.choice[v - 1]
-
     def __len__(self):  # the number of vertices, not of fields
         return len(self.choice)
 

@@ -1,11 +1,9 @@
 import random
 
-import pytest
-
 from dpcolor import (CompletePower, Cover, CyclePower, Multigraph, Other,
-                     assemble_witness, build_bad_complete, build_bad_cycle,
-                     decide_degree_colorable, decide_degree_colorable_any,
-                     degree_colorable_oracle, is_valid_cover, solve)
+                     build_bad_complete, build_bad_cycle,
+                     decide_degree_colorable, degree_colorable_oracle,
+                     is_valid_cover, solve)
 from oracles import random_connected_multigraph
 
 
@@ -60,19 +58,21 @@ def test_k1_not_degree_colorable():
     assert verdict.witness.list_sizes == (0,)
 
 
-def test_rejects_disconnected():
-    with pytest.raises(ValueError):
-        decide_degree_colorable(Multigraph(2))
+def test_two_isolated_vertices_not_degree_colorable():
+    verdict = decide_degree_colorable(Multigraph(2))
+    assert not verdict.colorable
+    assert verdict.components == (((1,), False), ((2,), False))
+    assert verdict.witness.list_sizes == (0, 0)
 
 
 def test_componentwise_verdicts():
     # C_4 plus a path: both components land on the negative side
     g = Multigraph(7, {(1, 2): 1, (2, 3): 1, (3, 4): 1, (1, 4): 1,
                        (5, 6): 1, (6, 7): 1})
-    verdicts = decide_degree_colorable_any(g)
-    assert [cv.vertices for cv in verdicts] == [(1, 2, 3, 4), (5, 6, 7)]
-    assert [cv.verdict.colorable for cv in verdicts] == [False, False]
-    whole = assemble_witness(g, verdicts)
+    verdict = decide_degree_colorable(g)
+    assert verdict.components == (((1, 2, 3, 4), False), ((5, 6, 7), False))
+    assert not verdict.colorable
+    whole = verdict.witness
     assert is_valid_cover(whole)
     assert whole.list_sizes == g.degrees()
     assert not solve(whole).colorable
@@ -81,9 +81,10 @@ def test_componentwise_verdicts():
 def test_componentwise_two_diamonds():
     edges = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
     g = Multigraph(8, {p: 1 for p in edges} | {(u + 4, v + 4): 1 for u, v in edges})
-    verdicts = decide_degree_colorable_any(g)
-    assert all(cv.verdict.colorable for cv in verdicts)
-    assert assemble_witness(g, verdicts) is None
+    verdict = decide_degree_colorable(g)
+    assert verdict.components == (((1, 2, 3, 4), True), ((5, 6, 7, 8), True))
+    assert verdict.colorable
+    assert verdict.witness is None
 
 
 def test_mixed_components_witness():
@@ -91,10 +92,14 @@ def test_mixed_components_witness():
     edges = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
     g = Multigraph(8, {p: 1 for p in edges} |
                    {(5, 6): 1, (6, 7): 1, (7, 8): 1, (5, 8): 1})
-    verdicts = decide_degree_colorable_any(g)
-    assert [cv.verdict.colorable for cv in verdicts] == [True, False]
-    whole = assemble_witness(g, verdicts)
-    assert whole is not None
+    verdict = decide_degree_colorable(g)
+    assert [ok for _, ok in verdict.components] == [True, False]
+    assert not verdict.colorable
+    whole = verdict.witness
+    # the diamond keeps degree-sized lists and no cross edges
+    assert whole.list_sizes == g.degrees()
+    assert all(u >= 5 for u, _ in whole.cross)
+    assert whole.cross[(5, 6)] == build_bad_cycle(4, 1).cross[(1, 2)]
     assert not solve(whole).colorable
 
 
@@ -129,6 +134,40 @@ def test_witnesses_sound_on_random_negatives():
         assert is_valid_cover(verdict.witness)
         assert verdict.witness.list_sizes == g.degrees()
         assert not solve(verdict.witness).colorable
+
+
+def random_multigraph(rng, max_n, max_mult):
+    """Random multigraph, often disconnected and with isolated vertices."""
+    n = rng.randint(1, max_n)
+    p = rng.uniform(0.1, 0.6)
+    return Multigraph(n, {(u, v): rng.randint(1, max_mult)
+                          for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                          if rng.random() < p})
+
+
+def test_components_agree_with_induced_subgraphs():
+    # a cover restricts independently to components: each component's flag
+    # is the verdict on that component alone, and every negative verdict's
+    # witness is an uncolorable degree cover of the whole multigraph
+    rng = random.Random(83)
+    disconnected = isolated = negative = 0
+    for _ in range(200):
+        g = random_multigraph(rng, 9, 3)
+        verdict = decide_degree_colorable(g)
+        assert [comp for comp, _ in verdict.components] == list(g.components())
+        for comp, ok in verdict.components:
+            assert ok == decide_degree_colorable(g.induced(comp)).colorable
+        assert verdict.colorable == all(ok for _, ok in verdict.components)
+        disconnected += len(verdict.components) > 1
+        isolated += 0 in g.degrees()
+        if verdict.colorable:
+            assert verdict.witness is None
+            continue
+        negative += 1
+        assert verdict.witness.list_sizes == g.degrees()
+        assert is_valid_cover(verdict.witness)
+        assert not solve(verdict.witness).colorable
+    assert min(disconnected, isolated, negative) >= 40
 
 
 def test_uniform_power_grids_match_constructions():

@@ -297,6 +297,68 @@ def test_solve_validates_once(tmp_path, monkeypatch, capsys):
     assert len(walks) == 2 and len(reports) == 1
 
 
+def test_strict_validates_once(monkeypatch, capsys):
+    # under --strict the command's own pass over the violations is the only
+    # one: a valid cover is walked once, and an invalid one is refused with
+    # its first violation
+    reports = []
+    report = dpcolor.cover.iter_violations
+    for module in (dpcolor.cover, dpcolor.cli):
+        monkeypatch.setattr(module, "iter_violations",
+                            lambda cover: reports.append(cover) or report(cover))
+    graph = ["--graph", str(DATA / "k3.graph")]
+    assert main(["--strict", "validate", str(DATA / "k3-bad.cover")] + graph) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert len(reports) == 1
+    graph = ["--graph", str(DATA / "edge.graph")]
+    assert main(["--strict", "validate", str(DATA / "edge-overfull.cover")] + graph) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("parse error: strict mode: pair (1, 2), color (1, 1): "
+                            "bipartite degree 2 exceeds multiplicity 1\n")
+    assert len(reports) == 2
+
+
+def test_strict_solve_words_the_walk_failure(tmp_path, monkeypatch, capsys):
+    # --strict solve refuses an invalid cover as a parse error with the text
+    # solve's CoverInvalid carries, after a single walk and a single report
+    walks, reports = [], []
+    walk = dpcolor.solver._conflict_masks
+    report = dpcolor.cover.iter_violations
+    monkeypatch.setattr(dpcolor.solver, "_conflict_masks",
+                        lambda cover: walks.append(cover) or walk(cover))
+    monkeypatch.setattr(dpcolor.cover, "iter_violations",
+                        lambda cover: reports.append(cover) or report(cover))
+    gra = write(tmp_path / "g.graph", "2\n1 2 1\n")
+    cov = write(tmp_path / "c.cover", "2\n1 2\n1 1 2 1\n1 1 2 2\n")
+    assert main(["--strict", "solve", gra, cov]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("parse error: strict mode: pair (1, 2), color (1, 1): "
+                            "bipartite degree 2 exceeds multiplicity 1\n")
+    assert len(walks) == 1 and len(reports) == 1
+
+
+def test_flag_overrides_a_bad_env_value(monkeypatch, capsys):
+    # a variable whose field a flag sets is never read
+    monkeypatch.setenv("DPCOLOR_NODE_BUDGET", "abc")
+    k3 = str(DATA / "k3.graph")
+    assert main(["--node-budget", "5", "chi-dp", k3]) == 3
+    assert capsys.readouterr().err == ("resource cap: cover search exceeded "
+                                       "node budget 5\n")
+    assert main(["--node-budget", "1000", "chi-dp", k3]) == 0
+    assert capsys.readouterr().out == "3\n"
+    assert Config.from_env(node_budget=7).node_budget == 7
+
+
+def test_oracle_refuses_a_disconnected_graph(capsys):
+    argv = ["degree-colorable", str(DATA / "two-parts.graph"), "--oracle"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: oracle needs a connected multigraph\n"
+
+
 def test_huge_vertex_count_is_refused(tmp_path, capsys):
     gra = write(tmp_path / "huge.graph", "100000000\n")
     assert main(["chi-dp", gra]) == 3
