@@ -112,7 +112,7 @@ def cmd_degree_colorable(args, config):
     if args.oracle:
         ok, witness = degree_colorable_oracle(g, config)
     else:
-        verdict = decide_degree_colorable(g)
+        verdict = decide_degree_colorable(g, build_witness=args.witness is not None)
         ok, witness = verdict.colorable, verdict.witness
         if len(verdict.components) > 1:
             for comp, colorable in verdict.components:

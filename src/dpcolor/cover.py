@@ -10,6 +10,12 @@ having maximum degree at most multiplicity(u, v).
 
 A transversal picks one color per vertex; it is a proper coloring when no
 chosen pair of colors is joined by a cross edge.
+
+A Cover stores the cross edges of each pair (u, v) as a sorted tuple of
+shared cells (i, j), one canonical form for equality, hashing and output;
+while the bounded share table has room, graphs and covers hold one tuple
+per distinct cell and pair key.  parse_cover checks a file line by line
+and builds that form in one pass.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import CapExceeded, ParseError
-from .multigraph import Multigraph, parse_vertex_count
+from .multigraph import (Multigraph, _share, _shared, bad_entry,
+                         parse_vertex_count)
 
 
 class Transversal(NamedTuple):
@@ -41,25 +48,14 @@ class Violation(NamedTuple):
         return f"{where}: {self.message}"
 
 
-# Covers share equal cells (i, j) and pair keys (u, v).  The tuples are
-# immutable, so callers cannot tell, and a caller that keeps many witness
-# covers (a census, a critical-graph hunt) stores each distinct pair once.
-# The table stops taking new pairs at _SHARED_MAX.
-_SHARED_MAX = 4096
-_shared = {}
-
-
-def _share(t: tuple) -> tuple:
-    if len(_shared) < _SHARED_MAX:
-        return _shared.setdefault(t, t)
-    return _shared.get(t, t)
-
-
 class Cover:
     """Immutable cover of a base multigraph.
 
-    cross maps a vertex pair (u, v) with u < v to a frozenset of (i, j)
-    index pairs: color (u, i) conflicts with color (v, j).
+    cross maps a vertex pair (u, v) with u < v to the sorted tuple of its
+    distinct (i, j) index pairs, or cells: color (u, i) conflicts with color
+    (v, j).  Pairs without cross edges are absent.  Pair keys and cells are
+    shared with other graphs and covers (see multigraph._share).  The
+    constructor checks the keys and takes any iterable of cells per pair.
     """
 
     __slots__ = ("base", "list_sizes", "cross")
@@ -76,12 +72,19 @@ class Cover:
                 raise ValueError(f"cross-edge key ({u}, {v}) must have u < v")
             if not (1 <= u and v <= base.n):
                 raise ValueError(f"cross-edge key ({u}, {v}) out of range 1..{base.n}")
-            es = frozenset(_share((int(i), int(j))) for i, j in edges)
+            es = tuple(sorted({_share((int(i), int(j))) for i, j in edges}))
             if es:
                 norm[_share((u, v))] = es
         self.base = base
         self.list_sizes = sizes
         self.cross = norm
+
+    @classmethod
+    def _of_checked(cls, base: Multigraph, sizes: tuple, cross: dict) -> "Cover":
+        """A cover from parts already in the form __init__ builds."""
+        cover = object.__new__(cls)
+        cover.base, cover.list_sizes, cover.cross = base, sizes, cross
+        return cover
 
     def size(self, v: int) -> int:
         return self.list_sizes[v - 1]
@@ -114,7 +117,7 @@ def iter_violations(cover: Cover):
             continue
         su, sv = cover.size(u), cover.size(v)
         in_range = True
-        for i, j in sorted(edges):
+        for i, j in edges:
             if not 1 <= i <= su:
                 yield Violation((u, v), (u, i), f"color index {i} outside list of size {su}")
                 in_range = False
@@ -280,74 +283,77 @@ def random_degree_cover(g: Multigraph, rng) -> Cover:
 # count above multigraph.MAX_VERTICES or a list size above MAX_LIST_SIZE
 # raises CapExceeded before anything is allocated for them.  The cap on list
 # sizes bounds what solve allocates per list: an s-bit domain per vertex and
-# s-entry conflict masks per cross pair.
+# s-entry conflict masks per cross pair.  Errors name the first faulty line in
+# file order.
 
 MAX_LIST_SIZE = 1_000
 
 
 def parse_cover(text: str, base: Multigraph | None = None) -> Cover:
-    lines = text.splitlines()
-    n = None
-    sizes = None
-    cross = {}
-    for lineno, raw in enumerate(lines, start=1):
+    n = sizes = None
+    cells = {}  # (u, v) -> set of its cells, checked for repeats in file order
+    shared = _shared.get  # shared(t) or _share(t): one lookup on a hit
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
             continue
-        if n is None:
-            n = parse_vertex_count(parts, lineno)
-            continue
         if sizes is None:
+            if n is None:
+                n = parse_vertex_count(parts, lineno)
+                continue
             if len(parts) != n:
                 raise ParseError(f"expected {n} list sizes", lineno)
             try:
-                sizes = tuple(int(p) for p in parts)
+                sizes = tuple(map(int, parts))
             except ValueError:
                 raise ParseError("non-integer list size", lineno) from None
-            if any(s < 0 for s in sizes):
+            if min(sizes) < 0:
                 raise ParseError("list sizes must be nonnegative", lineno)
             if max(sizes) > MAX_LIST_SIZE:
                 raise CapExceeded(f"list size {max(sizes)} exceeds cap {MAX_LIST_SIZE}")
             continue
-        if len(parts) != 4:
-            raise ParseError("expected 'u i v j'", lineno)
         try:
-            u, i, v, j = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"non-integer entry in {raw.strip()!r}", lineno) from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"vertex out of range in ({u}, {v})", lineno)
-        if u >= v:
+            u, i, v, j = map(int, parts)
+        except ValueError:  # a non-integer field, or not four fields
+            raise bad_entry(lineno, raw, parts, "u i v j") from None
+        if not 0 < u < v <= n:
+            if not (0 < u <= n and 0 < v <= n):
+                raise ParseError(f"vertex out of range in ({u}, {v})", lineno)
             raise ParseError("cross edges must be written with u < v", lineno)
-        if not (1 <= i <= sizes[u - 1]):
+        if not 0 < i <= sizes[u - 1]:
             raise ParseError(f"color index {i} outside list of vertex {u}", lineno)
-        if not (1 <= j <= sizes[v - 1]):
+        if not 0 < j <= sizes[v - 1]:
             raise ParseError(f"color index {j} outside list of vertex {v}", lineno)
-        if (i, j) in cross.get((u, v), ()):
+        key = (u, v)
+        seen = cells.get(key)
+        if seen is None:
+            cells[shared(key) or _share(key)] = seen = set()
+        cell = (i, j)
+        if cell in seen:
             raise ParseError(f"duplicate cross edge {u} {i} {v} {j}", lineno)
-        cross.setdefault((u, v), set()).add((i, j))
+        seen.add(shared(cell) or _share(cell))
     if n is None:
         raise ParseError("empty input: missing vertex count")
     if sizes is None:
         raise ParseError("missing list sizes line")
+    cross = {key: tuple(sorted(s)) for key, s in cells.items()}
     if base is None:
         mult = {}
-        for (u, v), edges in cross.items():
+        for key, edges in cross.items():
             left = {}
             right = {}
             for i, j in edges:
                 left[i] = left.get(i, 0) + 1
                 right[j] = right.get(j, 0) + 1
-            mult[(u, v)] = max(max(left.values()), max(right.values()))
-        base = Multigraph(n, mult)
+            mult[key] = max(max(left.values()), max(right.values()))
+        base = Multigraph._of_checked(n, mult)
     elif base.n != n:
         raise ParseError(f"cover has {n} vertices but base graph has {base.n}")
-    return Cover(base, sizes, cross)
+    return Cover._of_checked(base, sizes, cross)
 
 
 def format_cover(cover: Cover) -> str:
     lines = [str(cover.base.n), " ".join(str(s) for s in cover.list_sizes)]
     for (u, v), edges in sorted(cover.cross.items()):
-        for i, j in sorted(edges):
-            lines.append(f"{u} {i} {v} {j}")
+        lines.extend(f"{u} {i} {v} {j}" for i, j in edges)
     return "\n".join(lines) + "\n"

@@ -13,6 +13,21 @@ from typing import NamedTuple
 from .errors import CapExceeded, ParseError
 
 
+# Graphs and covers share equal small tuples: the pair keys (u, v) of both
+# and the cells (i, j) of covers.  The tuples are immutable, so callers
+# cannot tell, and a caller that keeps many graphs or covers (a census, a
+# critical-graph hunt, a batch of parsed files) stores each distinct tuple
+# once.  The table stops taking new tuples at _SHARED_MAX.
+_SHARED_MAX = 4096
+_shared = {}
+
+
+def _share(t: tuple) -> tuple:
+    if len(_shared) < _SHARED_MAX:
+        return _shared.setdefault(t, t)
+    return _shared.get(t, t)
+
+
 class Multigraph:
     """An undirected multigraph without loops."""
 
@@ -21,7 +36,6 @@ class Multigraph:
     def __init__(self, n: int, mult=None):
         if n < 1:
             raise ValueError("vertex count must be at least 1")
-        self.n = n
         norm = {}
         for (u, v), k in (mult or {}).items():
             if u == v:
@@ -35,11 +49,23 @@ class Multigraph:
             key = (u, v) if u < v else (v, u)
             if key in norm and norm[key] != k:
                 raise ValueError(f"conflicting multiplicities for pair {key}")
-            norm[key] = k
-        self._mult = norm
+            norm[_share(key)] = k
+        self._set(n, norm)
+
+    @classmethod
+    def _of_checked(cls, n: int, mult: dict) -> "Multigraph":
+        """A multigraph from pairs that already pass __init__'s checks: keys
+        (u, v) with 1 <= u < v <= n, multiplicities at least 1."""
+        g = object.__new__(cls)
+        g._set(n, mult)
+        return g
+
+    def _set(self, n, mult):
+        self.n = n
+        self._mult = mult
         self._adj = None
         deg = [0] * (n + 1)
-        for (u, v), k in norm.items():
+        for (u, v), k in mult.items():
             deg[u] += k
             deg[v] += k
         self._deg = deg
@@ -374,7 +400,8 @@ def classify_block(b: Multigraph):
 #
 # First line: n.  Then one line "u v k" per vertex pair with k = multiplicity >= 1.
 # Whitespace-separated, 1-indexed, pairs unordered and unique.  A vertex count
-# above MAX_VERTICES raises CapExceeded before anything is allocated.
+# above MAX_VERTICES raises CapExceeded before anything is allocated.  Graph
+# and cover files share the vertex-count line and the errors of a data line.
 
 MAX_VERTICES = 100_000
 
@@ -394,36 +421,42 @@ def parse_vertex_count(parts, lineno: int) -> int:
     return n
 
 
+def bad_entry(lineno: int, raw: str, parts, shape: str) -> ParseError:
+    """The error for a data line whose fields did not unpack into the
+    integers of shape, such as 'u v k': a wrong field count wins."""
+    if len(parts) != len(shape.split()):
+        return ParseError(f"expected {shape!r}", lineno)
+    return ParseError(f"non-integer entry in {raw.strip()!r}", lineno)
+
+
 def parse_multigraph(text: str) -> Multigraph:
-    lines = text.splitlines()
     n = None
     mult = {}
-    for lineno, raw in enumerate(lines, start=1):
+    shared = _shared.get
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
             continue
         if n is None:
             n = parse_vertex_count(parts, lineno)
             continue
-        if len(parts) != 3:
-            raise ParseError("expected 'u v k'", lineno)
         try:
-            u, v, k = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"non-integer entry in {raw.strip()!r}", lineno) from None
+            u, v, k = map(int, parts)
+        except ValueError:  # a non-integer field, or not three fields
+            raise bad_entry(lineno, raw, parts, "u v k") from None
         if u == v:
             raise ParseError(f"loop at vertex {u}", lineno)
-        if not (1 <= u <= n and 1 <= v <= n):
+        if not (0 < u <= n and 0 < v <= n):
             raise ParseError(f"vertex out of range in ({u}, {v})", lineno)
         if k < 1:
             raise ParseError("multiplicity must be at least 1", lineno)
         key = (u, v) if u < v else (v, u)
         if key in mult:
             raise ParseError(f"duplicate pair {key}", lineno)
-        mult[key] = k
+        mult[shared(key) or _share(key)] = k
     if n is None:
         raise ParseError("empty input: missing vertex count")
-    return Multigraph(n, mult)
+    return Multigraph._of_checked(n, mult)
 
 
 def format_multigraph(g: Multigraph) -> str:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import dpcolor.characterization
 import dpcolor.cli
 import dpcolor.cover
 import dpcolor.solver
@@ -317,6 +318,24 @@ def test_strict_validates_once(monkeypatch, capsys):
     assert captured.err == ("parse error: strict mode: pair (1, 2), color (1, 1): "
                             "bipartite degree 2 exceeds multiplicity 1\n")
     assert len(reports) == 2
+
+
+def test_degree_colorable_builds_a_witness_only_when_asked(tmp_path, monkeypatch, capsys):
+    # the block decision builds and re-checks an uncolorable cover only for
+    # --witness; without it the verdict and its output are the same
+    checks = []
+    check = dpcolor.characterization.validate_cover
+    monkeypatch.setattr(dpcolor.characterization, "validate_cover",
+                        lambda cover: checks.append(cover) or check(cover))
+    bowtie = str(DATA / "bowtie.graph")
+    assert main(["degree-colorable", bowtie]) == 1
+    assert capsys.readouterr().out == "NOT-DEGREE-COLORABLE\n"
+    assert checks == []
+    wit = str(tmp_path / "bowtie.cover")
+    assert main(["degree-colorable", bowtie, "--witness", wit]) == 1
+    assert capsys.readouterr().out == f"NOT-DEGREE-COLORABLE\nwitness written to {wit}\n"
+    assert len(checks) == 1
+    assert parse_cover(Path(wit).read_text()) == checks[0]
 
 
 def test_strict_solve_words_the_walk_failure(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,11 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
+
+import dpcolor.cover
+import dpcolor.multigraph
 
 from dpcolor import (CapExceeded, Cover, Multigraph, ParseError,
                      build_bad_complete, build_bad_cycle, format_cover,
@@ -44,18 +49,18 @@ def test_all_violations_listed():
 def test_reduce_list_matchings():
     k2 = Multigraph.complete(2)
     shared = reduce_list(k2, {1: ["a", "b"], 2: ["a", "b"]})
-    assert shared.cross == {(1, 2): frozenset({(1, 1), (2, 2)})}
+    assert shared.cross == {(1, 2): ((1, 1), (2, 2))}
     disjoint = reduce_list(k2, {1: ["a", "b"], 2: ["c", "d"]})
     assert disjoint.cross == {}
     crossed = reduce_list(k2, {1: ["a", "b", "c"], 2: ["c", "x", "a"]})
-    assert crossed.cross == {(1, 2): frozenset({(1, 3), (3, 1)})}
+    assert crossed.cross == {(1, 2): ((1, 3), (3, 1))}
     assert is_valid_cover(shared)
 
 
 def test_reduce_list_c4_two_colors_colorable():
     c4 = Multigraph.cycle(4)
     cover = reduce_list(c4, {v: ["a", "b"] for v in c4.vertices()})
-    identity = frozenset({(1, 1), (2, 2)})
+    identity = ((1, 1), (2, 2))
     assert all(cover.cross[(u, v)] == identity for u, v, _ in c4.pairs())
     res = solve(cover)
     assert res.colorable
@@ -152,6 +157,79 @@ def test_cover_text_round_trip():
         g = random_connected_multigraph(rng, 5, 2)
         cover = random_degree_cover(g, rng)
         assert parse_cover(format_cover(cover), base=g) == cover
+
+
+def _edge_lines_shuffled(text, rng):
+    lines = text.splitlines()
+    body = lines[2:]
+    rng.shuffle(body)
+    return "\n".join(lines[:2] + body) + "\n"
+
+
+def test_parse_matches_the_checked_constructor():
+    # parse_cover builds its cover without Cover.__init__; over random degree
+    # covers, in any line order, it must give what __init__ makes of the
+    # same cells handed over as sets, down to the sorted tuple per pair
+    rng = random.Random(29)
+    for _ in range(300):
+        g = random_connected_multigraph(rng, 6, 3)
+        cover = random_degree_cover(g, rng)
+        sets = {pair: set(edges) for pair, edges in cover.cross.items()}
+        built = Cover(g, g.degrees(), sets)
+        text = _edge_lines_shuffled(format_cover(cover), rng)
+        parsed = parse_cover(text, base=g)
+        assert parsed == built
+        assert parsed.cross == {pair: tuple(sorted(es)) for pair, es in sets.items()}
+        assert all(u < v for u, v in parsed.cross)
+        assert format_cover(parsed) == format_cover(built)
+        inferred = parse_cover(text)
+        assert inferred.cross == built.cross
+        assert all(inferred.base.multiplicity(u, v) <= m for u, v, m in g.pairs())
+
+
+def test_parse_shares_cells_within_the_table_bound(monkeypatch):
+    table = {}
+    monkeypatch.setattr(dpcolor.multigraph, "_shared", table)
+    monkeypatch.setattr(dpcolor.cover, "_shared", table)
+    monkeypatch.setattr(dpcolor.multigraph, "_SHARED_MAX", 6)
+    # offers, in file order, 3 pair keys and 5 distinct cells; the table
+    # keeps the first 6: (1, 2), (1, 1), (4, 4), (3, 4), (1, 3), (1, 4)
+    text = "3\n4 4 4\n1 1 2 1\n1 4 2 4\n1 3 2 4\n1 1 3 4\n2 4 3 3\n"
+    one, two = parse_cover(text), parse_cover(text)
+    assert one == two
+    assert len(table) == 6
+    assert one.cross[(1, 2)][0] is two.cross[(1, 2)][0]
+    assert one.cross[(1, 3)][0] is two.cross[(1, 3)][0]
+    assert one.cross[(2, 3)][0] is not two.cross[(2, 3)][0]  # offered past the bound
+    g = dpcolor.multigraph.parse_multigraph("3\n1 2 1\n1 3 1\n2 3 1\n")
+    assert len(table) == 6
+    keys = {k: k for k in g._mult}
+    assert keys[(1, 2)] is next(k for k in one.cross if k == (1, 2))
+    assert keys[(2, 3)] is not next(k for k in one.cross if k == (2, 3))
+
+
+def test_parsed_covers_stay_small(monkeypatch):
+    # a batch of parsed small covers holds under 1 KB per cover, counting the
+    # share table it fills from empty; a cover stored as a dict of frozensets
+    # held about 2.1 KB
+    table = {}
+    monkeypatch.setattr(dpcolor.multigraph, "_shared", table)
+    monkeypatch.setattr(dpcolor.cover, "_shared", table)
+    rng = random.Random(47)
+    corpus = []
+    for _ in range(1200):
+        g = random_connected_multigraph(rng, 5, 2, min_n=2)
+        corpus.append((g, format_cover(random_degree_cover(g, rng))))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = [parse_cover(text, base=g) for g, text in corpus]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 1200
+    assert held / len(parsed) < 1024, held / len(parsed)
 
 
 def test_cover_parse_inferred_base():
