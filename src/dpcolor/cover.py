@@ -23,8 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import CapExceeded, ParseError
-from .multigraph import (Multigraph, _share, _shared, bad_entry,
-                         parse_vertex_count)
+from .multigraph import Multigraph, _share, bad_entry, parse_vertex_count
 
 
 class Transversal(NamedTuple):
@@ -292,7 +291,6 @@ MAX_LIST_SIZE = 1_000
 def parse_cover(text: str, base: Multigraph | None = None) -> Cover:
     n = sizes = None
     cells = {}  # (u, v) -> set of its cells, checked for repeats in file order
-    shared = _shared.get  # shared(t) or _share(t): one lookup on a hit
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
@@ -327,11 +325,11 @@ def parse_cover(text: str, base: Multigraph | None = None) -> Cover:
         key = (u, v)
         seen = cells.get(key)
         if seen is None:
-            cells[shared(key) or _share(key)] = seen = set()
+            cells[_share(key)] = seen = set()
         cell = (i, j)
         if cell in seen:
             raise ParseError(f"duplicate cross edge {u} {i} {v} {j}", lineno)
-        seen.add(shared(cell) or _share(cell))
+        seen.add(_share(cell))
     if n is None:
         raise ParseError("empty input: missing vertex count")
     if sizes is None:
@@ -346,7 +344,7 @@ def parse_cover(text: str, base: Multigraph | None = None) -> Cover:
                 left[i] = left.get(i, 0) + 1
                 right[j] = right.get(j, 0) + 1
             mult[key] = max(max(left.values()), max(right.values()))
-        base = Multigraph._of_checked(n, mult)
+        base = Multigraph(n, mult)
     elif base.n != n:
         raise ParseError(f"cover has {n} vertices but base graph has {base.n}")
     return Cover._of_checked(base, sizes, cross)

@@ -23,9 +23,12 @@ _shared = {}
 
 
 def _share(t: tuple) -> tuple:
-    if len(_shared) < _SHARED_MAX:
-        return _shared.setdefault(t, t)
-    return _shared.get(t, t)
+    s = _shared.get(t)
+    if s is None:
+        s = t
+        if len(_shared) < _SHARED_MAX:
+            _shared[t] = t
+    return s
 
 
 class Multigraph:
@@ -36,7 +39,9 @@ class Multigraph:
     def __init__(self, n: int, mult=None):
         if n < 1:
             raise ValueError("vertex count must be at least 1")
+        self.n = n
         norm = {}
+        deg = [0] * (n + 1)
         for (u, v), k in (mult or {}).items():
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
@@ -47,27 +52,15 @@ class Multigraph:
             if k == 0:
                 continue
             key = (u, v) if u < v else (v, u)
-            if key in norm and norm[key] != k:
-                raise ValueError(f"conflicting multiplicities for pair {key}")
+            if key in norm:  # (u, v) and (v, u) both given
+                if norm[key] != k:
+                    raise ValueError(f"conflicting multiplicities for pair {key}")
+                continue
             norm[_share(key)] = k
-        self._set(n, norm)
-
-    @classmethod
-    def _of_checked(cls, n: int, mult: dict) -> "Multigraph":
-        """A multigraph from pairs that already pass __init__'s checks: keys
-        (u, v) with 1 <= u < v <= n, multiplicities at least 1."""
-        g = object.__new__(cls)
-        g._set(n, mult)
-        return g
-
-    def _set(self, n, mult):
-        self.n = n
-        self._mult = mult
-        self._adj = None
-        deg = [0] * (n + 1)
-        for (u, v), k in mult.items():
             deg[u] += k
             deg[v] += k
+        self._mult = norm
+        self._adj = None
         self._deg = deg
 
     # -- construction helpers -------------------------------------------------
@@ -432,7 +425,6 @@ def bad_entry(lineno: int, raw: str, parts, shape: str) -> ParseError:
 def parse_multigraph(text: str) -> Multigraph:
     n = None
     mult = {}
-    shared = _shared.get
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
@@ -453,10 +445,10 @@ def parse_multigraph(text: str) -> Multigraph:
         key = (u, v) if u < v else (v, u)
         if key in mult:
             raise ParseError(f"duplicate pair {key}", lineno)
-        mult[shared(key) or _share(key)] = k
+        mult[key] = k
     if n is None:
         raise ParseError("empty input: missing vertex count")
-    return Multigraph._of_checked(n, mult)
+    return Multigraph(n, mult)
 
 
 def format_multigraph(g: Multigraph) -> str:

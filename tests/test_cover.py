@@ -190,7 +190,6 @@ def test_parse_matches_the_checked_constructor():
 def test_parse_shares_cells_within_the_table_bound(monkeypatch):
     table = {}
     monkeypatch.setattr(dpcolor.multigraph, "_shared", table)
-    monkeypatch.setattr(dpcolor.cover, "_shared", table)
     monkeypatch.setattr(dpcolor.multigraph, "_SHARED_MAX", 6)
     # offers, in file order, 3 pair keys and 5 distinct cells; the table
     # keeps the first 6: (1, 2), (1, 1), (4, 4), (3, 4), (1, 3), (1, 4)
@@ -214,7 +213,6 @@ def test_parsed_covers_stay_small(monkeypatch):
     # held about 2.1 KB
     table = {}
     monkeypatch.setattr(dpcolor.multigraph, "_shared", table)
-    monkeypatch.setattr(dpcolor.cover, "_shared", table)
     rng = random.Random(47)
     corpus = []
     for _ in range(1200):
