@@ -4,6 +4,10 @@ One canonical form serves every census and the isomorphism test:
 ``canonical_key`` is the lexicographically smallest multiplicity vector over
 all vertex relabelings, found row by row with cell refinement rather than by
 scanning the n! relabelings.  No external canonical-labeling dependency.
+
+One scan, ``_census``, generates both connected censuses; the simple-graph
+census is the multiplicity-1 census.  All three generators order their
+graphs by (n, total edges, canonical key).
 """
 
 from __future__ import annotations
@@ -80,69 +84,55 @@ def are_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
     return canonical_key(g1) == canonical_key(g2)
 
 
-def _census_order(g):
-    return (g.n, g.edge_total(), sorted(g.degrees()), g.pairs())
+def _census(max_n: int, max_mult: int, min_degree: int = 0):
+    """Connected multigraphs on at most max_n vertices with multiplicities at
+    most max_mult and every degree at least min_degree, one representative
+    per isomorphism class: the first multiplicity vector over _pairs_of(n),
+    in product order, that has the class's canonical key.
+
+    A vector whose degrees fall short is skipped before any graph is built.
+    """
+    found = {}
+    for n in range(1, max_n + 1):
+        pairs = _pairs_of(n)
+        # incident[v - 1] selects the entries of a vector at pairs holding v;
+        # the degrees sum to twice the edges, so a short total fails at once
+        incident = [[v in p for p in pairs] for v in range(1, n + 1)]
+        for vec in itertools.product(range(max_mult + 1), repeat=len(pairs)):
+            if min_degree and (2 * sum(vec) < n * min_degree or any(
+                    sum(itertools.compress(vec, at)) < min_degree for at in incident)):
+                continue
+            g = Multigraph(n, {p: m for p, m in zip(pairs, vec) if m})
+            if g.is_connected():
+                found.setdefault(canonical_key(g), g)
+    return _ordered(found)
+
+
+def _ordered(found):
+    """The graphs of {canonical key: graph} ordered by (n, total edges,
+    canonical key); the total is the sum of the key's vector."""
+    return [found[k] for k in sorted(found, key=lambda k: (k[0], sum(k[1]), k))]
 
 
 def connected_multigraphs(max_n: int, max_mult: int):
     """All connected multigraphs with at most max_n vertices and edge
     multiplicities at most max_mult, one canonical representative each.
 
-    Ordered by (n, total edges, canonical vector).
+    Ordered by (n, total edges, canonical key).
     """
     if max_n > 6:
         raise ValueError("multigraph census supported up to 6 vertices")
-    out = []
-    for n in range(1, max_n + 1):
-        pairs = _pairs_of(n)
-        seen = set()
-        for vec in itertools.product(range(max_mult + 1), repeat=len(pairs)):
-            mult = {p: m for p, m in zip(pairs, vec) if m}
-            g = Multigraph(n, mult)
-            if not g.is_connected():
-                continue
-            key = canonical_key(g)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((n, g.edge_total(), key, g))
-    out.sort(key=lambda r: r[:3])
-    return [r[3] for r in out]
+    return _census(max_n, max_mult)
 
 
 def connected_simple_graphs(max_n: int, min_degree: int = 0):
-    """Connected simple graphs with at most max_n vertices, up to isomorphism.
+    """Connected simple graphs with at most max_n vertices, up to isomorphism:
+    the multiplicity-1 census, in the same order.
 
     min_degree prunes during generation (useful when hunting critical
     graphs, whose minimum degree is forced).
     """
-    result = []
-    for n in range(1, max_n + 1):
-        if n == 1 and min_degree > 0:
-            continue
-        pairs = _pairs_of(n)
-        np = len(pairs)
-        touching = [0] * (n + 1)
-        for idx, (u, v) in enumerate(pairs):
-            touching[u] |= 1 << idx
-            touching[v] |= 1 << idx
-        seen = set()
-        found = []
-        for mask in range(1 << np):
-            if n > 1 and min_degree > 0:
-                if any((mask & touching[v]).bit_count() < min_degree
-                       for v in range(1, n + 1)):
-                    continue
-            mult = {pairs[i]: 1 for i in range(np) if mask >> i & 1}
-            g = Multigraph(n, mult)
-            if not g.is_connected():
-                continue
-            key = canonical_key(g)
-            if key not in seen:
-                seen.add(key)
-                found.append(g)
-        result.extend(sorted(found, key=_census_order))
-    return result
+    return _census(max_n, 1, min_degree)
 
 
 def gdp_trees(max_n: int, max_complete_block: int, max_degree: int):
@@ -156,8 +146,7 @@ def gdp_trees(max_n: int, max_complete_block: int, max_degree: int):
     expansion is exhaustive.
     """
     seed = Multigraph(1, {})
-    seen = {canonical_key(seed)}
-    found = [seed]
+    found = {canonical_key(seed): seed}
     frontier = [seed]
     block_menu = []
     for r in range(2, max_complete_block + 1):
@@ -194,9 +183,8 @@ def gdp_trees(max_n: int, max_complete_block: int, max_degree: int):
                     if g2 is None:
                         continue
                     key = canonical_key(g2)
-                    if key not in seen:
-                        seen.add(key)
-                        found.append(g2)
+                    if key not in found:
+                        found[key] = g2
                         nxt.append(g2)
         frontier = nxt
-    return sorted(found, key=_census_order)
+    return _ordered(found)

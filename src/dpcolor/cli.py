@@ -161,39 +161,32 @@ def cmd_reduce(args, config):
     return 0
 
 
-def _census_record(idx, n, pairs, config):
-    g = Multigraph.from_edges(n, pairs)
+def _census_record(g, config):
     chi = chi_dp(g, config)
     colorable = decide_degree_colorable(g, build_witness=False).colorable
     _, slack = check_bound_multigraph(g, chi)
     state = "degree-colorable" if colorable else "not-degree-colorable"
-    return (f"g{idx} {g.n} {2 * g.edge_total()} {chi} "
+    return (f"{g.n} {2 * g.edge_total()} {chi} "
             f"{slack.numerator}/{slack.denominator} {state}")
 
 
 def cmd_census(args, config):
     graphs = connected_multigraphs(args.max_n, args.max_mult)
-    jobs = [(i, g.n, [(u, v, k) for u, v, k in g.pairs()]) for i, g in enumerate(graphs)]
+    configs = [config] * len(graphs)
     if config.output_format == "text":
         print("# id n 2E chi_dp slack verdict")
     if config.worker_count > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-                lines = list(pool.map(_census_worker,
-                                      [(job, config) for job in jobs]))
+                lines = list(pool.map(_census_record, graphs, configs))
         except OSError:
-            lines = [_census_record(i, n, pairs, config) for i, n, pairs in jobs]
+            lines = list(map(_census_record, graphs, configs))
     else:
-        lines = [_census_record(i, n, pairs, config) for i, n, pairs in jobs]
-    for line in lines:
-        print(line)
+        lines = list(map(_census_record, graphs, configs))
+    for i, line in enumerate(lines):
+        print(f"g{i} {line}")
     return 0
-
-
-def _census_worker(payload):
-    (idx, n, pairs), config = payload
-    return _census_record(idx, n, pairs, config)
 
 
 def build_parser():

@@ -31,7 +31,8 @@ Two engines live here:
   surviving transversal.  Spanning-tree gauge fixing shrinks the space:
   along a BFS tree, a single-multiplicity pair reaching a fresh vertex may
   be assumed to use only diagonal cells, because relabeling that vertex's
-  list maps any matching onto the diagonal.
+  list maps any matching onto the diagonal.  This search too runs on an
+  explicit stack, one frame per node on the path.
 
 chi_dp and the degree-colorability oracle are thin wrappers over the cell
 search.  All functions are pure and reentrant; independent instances can be
@@ -321,7 +322,6 @@ def _search_blocking_cells(g: Multigraph, sizes, config: Config):
     closed = [bytearray(len(cs)) for cs in cells]  # taken or banned: not addable
     nodes = 0
     budget = config.node_budget
-    solution = {}
 
     def decode(idx):
         return tuple(idx // strides[v] % sizes[v - 1] + 1 for v in range(1, n + 1))
@@ -413,38 +413,42 @@ def _search_blocking_cells(g: Multigraph, sizes, config: Config):
         opts.sort()
         return opts
 
-    def rec(S):
-        nonlocal nodes
+    # one frame [survivors, branches, next branch] per node on the path; a
+    # branch tried stays closed to its later siblings until its node is done
+    frames = []
+    S = (1 << space) - 1
+    while True:
         nodes += 1
         if nodes > budget:
             raise CapExceeded(f"cover search exceeded node budget {budget}")
         if S == 0:
-            for p in range(P):
-                solution[(pu[p], pv[p])] = set(taken[p])
-            return True
-        newly_closed = []
-        found = False
-        for _, p, k in branches(S):
+            return {(pu[p], pv[p]): set(taken[p]) for p in range(P)}
+        frames.append([S, branches(S), 0])
+        while frames:
+            frame = frames[-1]
+            S, opts, idx = frame
+            if idx:  # take back the cell of the branch just explored
+                _, p, k = opts[idx - 1]
+                _, i, j, _ = cells[p][k]
+                taken[p].remove((i, j))
+                rowdeg[p][i] -= 1
+                coldeg[p][j] -= 1
+            if idx == len(opts):
+                for _, p, k in opts:
+                    closed[p][k] = 0
+                frames.pop()
+                continue
+            _, p, k = opts[idx]
+            frame[2] = idx + 1
             _, i, j, mask = cells[p][k]
             rowdeg[p][i] += 1
             coldeg[p][j] += 1
             taken[p].add((i, j))
             closed[p][k] = 1
-            newly_closed.append((p, k))
-            ok = rec(S & ~mask)  # solution is copied at the leaf
-            taken[p].remove((i, j))
-            rowdeg[p][i] -= 1
-            coldeg[p][j] -= 1
-            if ok:
-                found = True
-                break
-        for p, k in newly_closed:
-            closed[p][k] = 0
-        return found
-
-    found = rec((1 << space) - 1)
-    del rec  # it refers to itself; dropping it frees the masks without the gc
-    return solution if found else None
+            S &= ~mask
+            break
+        else:
+            return None
 
 
 def _edge_color_bipartite(edges, m):

@@ -43,6 +43,33 @@ def test_min_degree_filter():
     assert any(are_isomorphic(g, Multigraph.complete(4)) for g in graphs)
 
 
+@pytest.fixture(scope="module")
+def simple6():
+    return connected_simple_graphs(6)
+
+
+def _census_order(g):
+    return (g.n, g.edge_total(), canonical_key(g))
+
+
+def test_simple_census_is_the_multiplicity_1_census(simple6):
+    # same representatives in the same order, n = 1..6 at once
+    assert simple6 == connected_multigraphs(6, 1)
+    # the path on 3 vertices is represented centred at vertex 3
+    assert connected_simple_graphs(3)[2].pairs() == [(1, 3, 1), (2, 3, 1)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_min_degree_census_is_a_filter_of_the_full_census(simple6, d):
+    assert connected_simple_graphs(6, d) == [g for g in simple6 if min(g.degrees()) >= d]
+
+
+def test_censuses_share_one_order(simple6):
+    for graphs in (simple6, connected_multigraphs(4, 2),
+                   gdp_trees(7, max_complete_block=3, max_degree=3)):
+        assert graphs == sorted(graphs, key=_census_order)
+
+
 def test_are_isomorphic():
     p1 = Multigraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
     p2 = Multigraph.from_edges(4, [(2, 4), (1, 4), (1, 3)])

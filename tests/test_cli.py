@@ -73,6 +73,12 @@ def test_chi_dp_cycle(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+def test_chi_dp_of_an_edge_of_multiplicity_32(tmp_path, capsys):
+    gra = write(tmp_path / "k2x32.graph", "2\n1 2 32\n")
+    assert main(["chi-dp", gra]) == 0
+    assert capsys.readouterr().out == "33\n"
+
+
 def test_degree_colorable_witness_pipeline(tmp_path, capsys):
     bowtie = Multigraph.from_edges(
         5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])

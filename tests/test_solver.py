@@ -134,6 +134,14 @@ def test_find_uncolorable_cover_properties():
     assert find_uncolorable_cover(g, 3) is None
 
 
+def test_find_uncolorable_cover_deeper_than_the_recursion_limit():
+    # K2 with 32 parallel edges and 32-lists: every one of the 1024 cells is
+    # needed, so the search path is 1024 nodes deep
+    witness = find_uncolorable_cover(Multigraph(2, {(1, 2): 32}), 32)
+    assert witness is not None
+    assert not solve(witness).colorable
+
+
 def test_find_uncolorable_cover_space_cap():
     with pytest.raises(CapExceeded):
         find_uncolorable_cover(Multigraph.complete(7), 7,
