@@ -112,8 +112,14 @@ def cmd_degree_colorable(args, config):
     if args.oracle:
         ok, witness = degree_colorable_oracle(g, config)
     else:
-        verdict = decide_degree_colorable(g, build_witness=args.witness is not None)
+        # a witness's lists are degree-sized: above the cap parse_cover could
+        # never read it back, so it is refused before it is built
+        wanted = args.witness is not None
+        top = max(g.degrees(), default=0)
+        verdict = decide_degree_colorable(g, build_witness=wanted and top <= MAX_LIST_SIZE)
         ok, witness = verdict.colorable, verdict.witness
+        if wanted and top > MAX_LIST_SIZE and not ok:
+            raise CapExceeded(f"witness list size {top} exceeds cap {MAX_LIST_SIZE}")
         if len(verdict.components) > 1:
             for comp, colorable in verdict.components:
                 state = "degree-colorable" if colorable else "not-degree-colorable"

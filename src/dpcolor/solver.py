@@ -28,11 +28,19 @@ Two engines live here:
   surviving transversal whose cells are all unaddable can never be blocked,
   and a capacity bound shows when the cells each pair can still add, taken
   with their kill counts and with overlaps ignored, cannot block every
-  surviving transversal.  Spanning-tree gauge fixing shrinks the space:
-  along a BFS tree, a single-multiplicity pair reaching a fresh vertex may
-  be assumed to use only diagonal cells, because relabeling that vertex's
-  list maps any matching onto the diagonal.  This search too runs on an
-  explicit stack, one frame per node on the path.
+  surviving transversal.  Spanning-tree gauge fixing shrinks the space.
+  An uncolorable cover may be taken maximal, each pair of multiplicity m a
+  union of m maximum matchings (adding cross edges never makes a
+  transversal), and a maximum matching saturates the shorter list.  Along
+  a BFS tree, take a pair from parent u to child w with |L(u)| <= |L(w)|:
+  relabeling w's list maps one of its matchings onto the diagonal, and
+  relabeling top-down along the tree does this for every tree pair at
+  once.  So a pair of multiplicity 1 uses only diagonal cells, and a pair
+  of multiplicity m >= 2 with |L(u)| < |L(w)| holds the diagonal cells
+  (i, i), i <= |L(u)|, from the start.  Equal lists at m >= 2 are left
+  ungauged: pre-taking their diagonal made searches that find a cover
+  several times longer.  This search too runs on an explicit stack, one
+  frame per node on the path.
 
 chi_dp and the degree-colorability oracle are thin wrappers over the cell
 search.  All functions are pure and reentrant; independent instances can be
@@ -299,17 +307,21 @@ def _search_blocking_cells(g: Multigraph, sizes, config: Config):
     cells = []
     width = []
     capacity = []   # most cells pair p can hold
-    for u, v, m in plist:
+    fixed = []      # (p, k): diagonal cells the gauge takes before the search
+    for p, (u, v, m) in enumerate(plist):
         a, b = sizes[u - 1], sizes[v - 1]
         child = tree.get((u, v))
-        diag = child is not None and m == 1 and \
-            sizes[(u if child == v else v) - 1] <= sizes[child - 1]
+        # the parent's list is no longer than the child's
+        gauged = child is not None and sizes[u + v - child - 1] <= sizes[child - 1]
+        diag = gauged and m == 1
         allowed = [(i, i) for i in range(1, min(a, b) + 1)] if diag else \
             [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
         cells.append([(k, i, j, classmask[u][i - 1] & classmask[v][j - 1])
                       for k, (i, j) in enumerate(allowed)])
         width.append(0 if diag else b)
         capacity.append(m * min(a, b))
+        if gauged and m > 1 and a != b:
+            fixed.extend((p, (i - 1) * b + i - 1) for i in range(1, min(a, b) + 1))
     strides = [0] * (n + 1)
     space = 1
     for v in range(n, 0, -1):
@@ -320,6 +332,14 @@ def _search_blocking_cells(g: Multigraph, sizes, config: Config):
     coldeg = [[0] * (sizes[v - 1] + 1) for v in pv]
     taken = [set() for _ in range(P)]
     closed = [bytearray(len(cs)) for cs in cells]  # taken or banned: not addable
+    S = (1 << space) - 1
+    for p, k in fixed:
+        _, i, j, mask = cells[p][k]
+        rowdeg[p][i] += 1
+        coldeg[p][j] += 1
+        taken[p].add((i, j))
+        closed[p][k] = 1
+        S &= ~mask
     nodes = 0
     budget = config.node_budget
 
@@ -416,7 +436,6 @@ def _search_blocking_cells(g: Multigraph, sizes, config: Config):
     # one frame [survivors, branches, next branch] per node on the path; a
     # branch tried stays closed to its later siblings until its node is done
     frames = []
-    S = (1 << space) - 1
     while True:
         nodes += 1
         if nodes > budget:
@@ -517,12 +536,16 @@ def _complete_to_maximal(g: Multigraph, sizes, chosen):
 def chi_dp(g: Multigraph, config: Config = DEFAULT) -> int:
     """Smallest k such that every cover of g with k-lists has a transversal.
 
-    Tries k = 1, 2, ... and returns the first k with no uncolorable cover.
-    Greedy coloring guarantees degeneracy + 1 always works, which caps the
-    loop; reaching the cap without an answer would be an internal error.
+    Two bounds frame the search.  From below, chi_dp > m for the largest
+    multiplicity m: m-lists with all m * m cells on that pair block every
+    transversal.  From above, greedy coloring guarantees that degeneracy + 1
+    always works.  Tries k = m + 1, m + 2, ... and returns the first k with
+    no uncolorable cover; reaching the upper bound without an answer would
+    be an internal error.
     """
+    low = max((m for _, _, m in g.pairs()), default=0) + 1
     cap = g.degeneracy() + 1
-    for k in range(1, cap + 1):
+    for k in range(low, cap + 1):
         if find_uncolorable_cover(g, k, config) is None:
             return k
     raise InternalInvariantError(

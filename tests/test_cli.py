@@ -79,6 +79,35 @@ def test_chi_dp_of_an_edge_of_multiplicity_32(tmp_path, capsys):
     assert capsys.readouterr().out == "33\n"
 
 
+def test_chi_dp_starts_above_the_largest_multiplicity(tmp_path, capsys):
+    # chi_dp >= 1001, and 1001-lists on two vertices exceed the transversal
+    # space cap, so the first search needed is refused at once
+    gra = write(tmp_path / "k2x1000.graph", "2\n1 2 1000\n")
+    assert main(["chi-dp", gra]) == 3
+    assert capsys.readouterr().err == \
+        "resource cap: transversal space exceeds cap 500000\n"
+
+
+def test_degree_colorable_refuses_a_witness_above_the_list_cap(tmp_path, capsys):
+    gra = write(tmp_path / "k2x1001.graph", f"2\n1 2 {MAX_LIST_SIZE + 1}\n")
+    wit = tmp_path / "k2.cover"
+    assert main(["degree-colorable", gra, "--witness", str(wit)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"resource cap: witness list size {MAX_LIST_SIZE + 1} "
+                   f"exceeds cap {MAX_LIST_SIZE}\n")
+    assert not wit.exists()
+    # the verdict alone needs no witness
+    assert main(["degree-colorable", gra]) == 1
+    assert capsys.readouterr().out == "NOT-DEGREE-COLORABLE\n"
+    # a colorable graph answers as before, however large its degrees
+    heavy_triangle = write(tmp_path / "k3.graph",
+                           f"3\n1 2 {MAX_LIST_SIZE}\n1 3 1\n2 3 1\n")
+    assert main(["degree-colorable", heavy_triangle, "--witness", str(wit)]) == 0
+    assert capsys.readouterr().out == "DEGREE-COLORABLE\n"
+    assert not wit.exists()
+
+
 def test_degree_colorable_witness_pipeline(tmp_path, capsys):
     bowtie = Multigraph.from_edges(
         5, [(1, 2), (1, 3), (2, 3), (1, 4), (1, 5), (4, 5)])

@@ -9,9 +9,9 @@ from dpcolor import (CapExceeded, Config, Cover, CoverInvalid,
                      InternalInvariantError, Multigraph,
                      Transversal, build_bad_complete, build_bad_cycle,
                      check_transversal, chi_dp, degree_colorable_oracle,
-                     find_uncolorable_cover, is_valid_cover, permute_colors,
-                     product_reduction, random_degree_cover, solve,
-                     validate_cover)
+                     find_uncolorable_cover, is_valid_cover, parse_multigraph,
+                     permute_colors, product_reduction, random_degree_cover,
+                     solve, validate_cover)
 from dpcolor.solver import _class_masks
 from oracles import (brute_chromatic_number, brute_cover_count,
                      brute_force_transversal, brute_uncolorable_cover_exists,
@@ -269,6 +269,47 @@ def test_cover_search_matches_brute_force(max_n, max_mult, max_size, instances):
             assert witness.list_sizes == sizes
             assert brute_force_transversal(witness) is None
     assert answers == {True, False}
+
+
+def _doubled_multigraphs():
+    """Every labelled connected multigraph on 2 or 3 vertices with
+    multiplicity <= 2 and at least one pair of multiplicity 2."""
+    yield Multigraph(2, {(1, 2): 2})
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    for mults in itertools.product(range(3), repeat=3):
+        g = Multigraph(3, {p: m for p, m in zip(pairs, mults) if m})
+        if 2 in mults and g.is_connected():
+            yield g
+
+
+def test_gauge_on_doubled_pairs_matches_brute_force():
+    """The gauge takes a diagonal matching up front on a doubled tree pair
+    whose parent has the shorter list; existence answers must agree with
+    scanning every cover, under every list-size vector with sizes 1..3."""
+    checked = 0
+    answers = set()
+    for g in _doubled_multigraphs():
+        for sizes in itertools.product(range(1, 4), repeat=g.n):
+            if brute_cover_count(g, sizes) > 50_000:
+                continue  # the brute force would take too long
+            checked += 1
+            expected = brute_uncolorable_cover_exists(g, sizes)
+            witness = find_uncolorable_cover(g, sizes)
+            assert (witness is not None) == expected, (g.pairs(), sizes)
+            answers.add(expected)
+            if witness is not None:
+                assert brute_force_transversal(witness) is None
+    assert checked == 419
+    assert answers == {True, False}
+
+
+def test_gauge_keeps_the_left_out_oracle_search_small():
+    # the degree-list search on this (4,4,6,6) graph took 339,798 nodes
+    # before doubled tree pairs were gauge-fixed, and exhausts well within
+    # 5,000 now
+    g = parse_multigraph("4\n1 3 2\n1 4 2\n2 3 2\n2 4 2\n3 4 2\n")
+    assert g.degrees() == (4, 4, 6, 6)
+    assert find_uncolorable_cover(g, g.degrees(), Config(node_budget=5_000)) is None
 
 
 def _broken_cover(rng, kind):
