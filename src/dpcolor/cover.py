@@ -102,6 +102,15 @@ class Cover:
                 f"edges={sum(len(e) for e in self.cross.values())})")
 
 
+def _bipartite_degrees(edges):
+    """Counts of the cells (i, j) per row i and per column j."""
+    left, right = {}, {}
+    for i, j in edges:
+        left[i] = left.get(i, 0) + 1
+        right[j] = right.get(j, 0) + 1
+    return left, right
+
+
 def iter_violations(cover: Cover):
     """Yield cover-condition violations in deterministic order.
 
@@ -125,11 +134,7 @@ def iter_violations(cover: Cover):
                 in_range = False
         if not in_range:
             continue
-        left = {}
-        right = {}
-        for i, j in edges:
-            left[i] = left.get(i, 0) + 1
-            right[j] = right.get(j, 0) + 1
+        left, right = _bipartite_degrees(edges)
         for i in sorted(left):
             if left[i] > m:
                 yield Violation((u, v), (u, i),
@@ -338,11 +343,7 @@ def parse_cover(text: str, base: Multigraph | None = None) -> Cover:
     if base is None:
         mult = {}
         for key, edges in cross.items():
-            left = {}
-            right = {}
-            for i, j in edges:
-                left[i] = left.get(i, 0) + 1
-                right[j] = right.get(j, 0) + 1
+            left, right = _bipartite_degrees(edges)
             mult[key] = max(max(left.values()), max(right.values()))
         base = Multigraph(n, mult)
     elif base.n != n:

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from itertools import compress
+from itertools import chain, compress, product
 from typing import NamedTuple
 
 from .config import DEFAULT, Config
@@ -200,6 +200,9 @@ def solve(cover: Cover, config: Config = DEFAULT) -> SolveResult:
 
 # -- search for an uncolorable cover -------------------------------------------
 
+# cap on the total bits of the cell masks, `space` bits a cell, built up front
+MAX_MASK_BITS = 1 << 31
+
 
 def _normalize_sizes(g: Multigraph, list_sizes):
     if isinstance(list_sizes, int):
@@ -218,9 +221,11 @@ def find_uncolorable_cover(g: Multigraph, list_sizes,
 
     list_sizes is a single int (uniform lists) or one size per vertex.
     Returns None when every such cover is colorable; the search is complete.
-    An emitted cover has each pair's cross edges completed to a union of
-    exactly multiplicity(u, v) maximum matchings, which preserves
-    uncolorability, and is deterministic for a given input.
+    An emitted cover is deterministic for a given input; each pair's cross
+    edges are completed until no cell can be added, which keeps it
+    uncolorable and makes it a union of multiplicity(u, v) maximum
+    matchings.  CapExceeded is raised before the search when the
+    transversal space or the cell masks (MAX_MASK_BITS) are over their caps.
     """
     sizes = _normalize_sizes(g, list_sizes)
     if any(s == 0 for s in sizes):
@@ -231,11 +236,13 @@ def find_uncolorable_cover(g: Multigraph, list_sizes,
         if space > config.max_transversal_space:
             raise CapExceeded(
                 f"transversal space exceeds cap {config.max_transversal_space}")
+    bits = space * sum(sizes[u - 1] * sizes[v - 1] for u, v, _ in g.pairs())
+    if bits > MAX_MASK_BITS:
+        raise CapExceeded(f"cell masks of {bits} bits exceed cap {MAX_MASK_BITS}")
     chosen = _search_blocking_cells(g, sizes, config)
     if chosen is None:
         return None
-    cross = _complete_to_maximal(g, sizes, chosen)
-    return Cover(g, sizes, cross)
+    return Cover(g, sizes, _complete_to_maximal(g, sizes, chosen))
 
 
 def _class_masks(sizes):
@@ -470,63 +477,27 @@ def _search_blocking_cells(g: Multigraph, sizes, config: Config):
             return None
 
 
-def _edge_color_bipartite(edges, m):
-    """Partition a bipartite edge set with max degree <= m into m matchings.
-
-    Classic alternating-path edge coloring.  Returns m dicts mapping row
-    color to column color (some possibly empty).
-    """
-    row_color = {}  # (row, c) -> col
-    col_color = {}  # (col, c) -> row
-    assign = {}
-    for i, j in sorted(edges):
-        alpha = next(c for c in range(m) if (i, c) not in row_color)
-        if (j, alpha) in col_color:
-            beta = next(c for c in range(m) if (j, c) not in col_color)
-            # walk the alpha/beta alternating path starting at column j; it
-            # cannot reach row i because alpha is free there
-            path = []
-            col = j
-            while (col, alpha) in col_color:
-                r = col_color[(col, alpha)]
-                path.append((r, col, alpha))
-                if (r, beta) not in row_color:
-                    break
-                col = row_color[(r, beta)]
-                path.append((r, col, beta))
-            for r, c_, old in path:
-                del row_color[(r, old)]
-                del col_color[(c_, old)]
-            for r, c_, old in path:
-                new = beta if old == alpha else alpha
-                row_color[(r, new)] = c_
-                col_color[(c_, new)] = r
-                assign[(r, c_)] = new
-        assign[(i, j)] = alpha
-        row_color[(i, alpha)] = j
-        col_color[(j, alpha)] = i
-    matchings = [dict() for _ in range(m)]
-    for (i, j), c in assign.items():
-        matchings[c][i] = j
-    return matchings
-
-
 def _complete_to_maximal(g: Multigraph, sizes, chosen):
-    """Extend chosen cells per pair to unions of exactly m maximum matchings."""
+    """Extend each pair's chosen cells until no cell can be added.
+
+    Takes the chosen cells, then walks every cell (i, j) row by row, adding
+    it while row i and column j both have degree below m; degrees only rise,
+    so a skipped cell stays unaddable.  Such a maximal set is a union of m
+    maximum matchings by Hall's and König's theorems, since a line below
+    degree m misses only full lines.
+    """
     cross = {}
     for u, v, m in g.pairs():
         a, b = sizes[u - 1], sizes[v - 1]
-        edges = sorted(chosen.get((u, v), ()))
-        union = set()
-        for match in _edge_color_bipartite(edges, m):
-            used_rows = set(match)
-            used_cols = set(match.values())
-            free_rows = [i for i in range(1, a + 1) if i not in used_rows]
-            free_cols = [j for j in range(1, b + 1) if j not in used_cols]
-            for i, j in zip(free_rows, free_cols):
-                match[i] = j
-            union.update(match.items())
-        cross[(u, v)] = union
+        cells = set()
+        rowdeg, coldeg = [0] * (a + 1), [0] * (b + 1)
+        for i, j in chain(chosen.get((u, v), ()),
+                          product(range(1, a + 1), range(1, b + 1))):
+            if rowdeg[i] < m and coldeg[j] < m and (i, j) not in cells:
+                cells.add((i, j))
+                rowdeg[i] += 1
+                coldeg[j] += 1
+        cross[(u, v)] = cells
     return cross
 
 
@@ -538,18 +509,16 @@ def chi_dp(g: Multigraph, config: Config = DEFAULT) -> int:
 
     Two bounds frame the search.  From below, chi_dp > m for the largest
     multiplicity m: m-lists with all m * m cells on that pair block every
-    transversal.  From above, greedy coloring guarantees that degeneracy + 1
-    always works.  Tries k = m + 1, m + 2, ... and returns the first k with
-    no uncolorable cover; reaching the upper bound without an answer would
-    be an internal error.
+    transversal.  From above, greedy coloring shows that degeneracy + 1
+    always works, so that bound is returned without a search.  Returns the
+    first k in between with no uncolorable cover.
     """
     low = max((m for _, _, m in g.pairs()), default=0) + 1
     cap = g.degeneracy() + 1
-    for k in range(low, cap + 1):
+    for k in range(low, cap):
         if find_uncolorable_cover(g, k, config) is None:
             return k
-    raise InternalInvariantError(
-        f"no answer up to degeneracy bound {cap}; greedy guarantee violated")
+    return cap
 
 
 def degree_colorable_oracle(g: Multigraph,

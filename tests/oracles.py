@@ -33,6 +33,16 @@ def degree_bounded_cell_sets(a, b, m):
     return out
 
 
+def is_union_of_maximum_matchings(cells, a, b, m):
+    """True iff m maximum matchings of [a] x [b] inside cells, repeats
+    allowed, have cells as their union."""
+    size = min(a, b)
+    matchings = [frozenset(mt) for mt in itertools.combinations(sorted(cells), size)
+                 if len({i for i, _ in mt}) == len({j for _, j in mt}) == size]
+    return any(frozenset().union(*combo) == cells
+               for combo in itertools.combinations_with_replacement(matchings, m))
+
+
 def brute_cover_count(g, sizes):
     """Number of covers of g with these list sizes."""
     count = 1

@@ -80,12 +80,27 @@ def test_chi_dp_of_an_edge_of_multiplicity_32(tmp_path, capsys):
 
 
 def test_chi_dp_starts_above_the_largest_multiplicity(tmp_path, capsys):
-    # chi_dp >= 1001, and 1001-lists on two vertices exceed the transversal
-    # space cap, so the first search needed is refused at once
+    # on K2^1000 both bounds give 1001, so no search runs
     gra = write(tmp_path / "k2x1000.graph", "2\n1 2 1000\n")
+    assert main(["chi-dp", gra]) == 0
+    assert capsys.readouterr().out == "1001\n"
+    # on K3^1000, chi_dp >= 1001 and 1001-lists on three vertices exceed the
+    # transversal space cap, so the first search needed is refused at once
+    gra = write(tmp_path / "k3x1000.graph", "3\n1 2 1000\n1 3 1000\n2 3 1000\n")
     assert main(["chi-dp", gra]) == 3
     assert capsys.readouterr().err == \
         "resource cap: transversal space exceeds cap 500000\n"
+
+
+def test_check_critical_refuses_cell_masks_over_the_cap(tmp_path, capsys):
+    # deleting an edge of K2^250 leaves a search over 250-lists: 62,500
+    # transversals are under the space cap, but 62,500 cells of 62,500-bit
+    # masks are not under the mask cap
+    gra = write(tmp_path / "k2x250.graph", "2\n1 2 250\n")
+    assert main(["check-critical", gra, "--k", "251"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: cell masks of")
+    assert f"exceed cap {dpcolor.solver.MAX_MASK_BITS}" in err
 
 
 def test_degree_colorable_refuses_a_witness_above_the_list_cap(tmp_path, capsys):

@@ -1,6 +1,9 @@
 import heapq
 import itertools
 import random
+import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +15,13 @@ from dpcolor import (CapExceeded, Config, Cover, CoverInvalid,
                      find_uncolorable_cover, is_valid_cover, parse_multigraph,
                      permute_colors, product_reduction, random_degree_cover,
                      solve, validate_cover)
-from dpcolor.solver import _class_masks
+from dpcolor.solver import MAX_MASK_BITS, _class_masks, _complete_to_maximal
 from oracles import (brute_chromatic_number, brute_cover_count,
                      brute_force_transversal, brute_uncolorable_cover_exists,
-                     gauge_equivalent, random_connected_multigraph)
+                     degree_bounded_cell_sets, gauge_equivalent,
+                     is_union_of_maximum_matchings, random_connected_multigraph)
+
+DATA = Path(__file__).parent / "data"
 
 
 def identity_cycle_cover(n, k):
@@ -116,6 +122,23 @@ def test_chi_dp_bounds():
         assert chi <= g.degeneracy() + 1
 
 
+def test_chi_dp_does_not_search_its_upper_bound(monkeypatch):
+    searched = []
+    search = dpcolor.solver.find_uncolorable_cover
+
+    def recording(g, k, config):
+        searched.append(k)
+        return search(g, k, config)
+
+    monkeypatch.setattr(dpcolor.solver, "find_uncolorable_cover", recording)
+    for g, chi in ((Multigraph.complete(4), 4), (Multigraph.cycle(5), 3),
+                   (parse_multigraph((DATA / "k2x3.graph").read_text()), 4),
+                   (parse_multigraph((DATA / "c4x2.graph").read_text()), 5)):
+        searched.clear()
+        assert chi_dp(g) == chi
+        assert all(k < g.degeneracy() + 1 for k in searched), (g, searched)
+
+
 def test_chi_dp_disconnected_is_max_over_components():
     g = Multigraph(5, {(1, 2): 1, (3, 4): 1, (4, 5): 1, (3, 5): 1})
     assert chi_dp(g) == 3  # triangle component dominates
@@ -146,6 +169,61 @@ def test_find_uncolorable_cover_space_cap():
     with pytest.raises(CapExceeded):
         find_uncolorable_cover(Multigraph.complete(7), 7,
                                Config(max_transversal_space=1000))
+
+
+def test_find_uncolorable_cover_refuses_cell_masks_over_the_cap():
+    # K2^250 with 250-lists: 62,500 transversals are under the space cap,
+    # but 62,500 cells of 62,500-bit masks are not under the mask cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded,
+                           match=f"^cell masks of .* exceed cap {MAX_MASK_BITS}$"):
+            find_uncolorable_cover(Multigraph.complete(2, 250), 250,
+                                   Config(node_budget=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+def _assert_cannot_grow(cover):
+    """Every pair keeps its bipartite degrees within its multiplicity and
+    has no cell left that it could still take."""
+    assert is_valid_cover(cover)
+    for u, v, m in cover.base.pairs():
+        cells = set(cover.cross.get((u, v), ()))
+        rows = Counter(i for i, _ in cells)
+        cols = Counter(j for _, j in cells)
+        addable = [(i, j) for i in range(1, cover.size(u) + 1)
+                   for j in range(1, cover.size(v) + 1)
+                   if (i, j) not in cells and rows[i] < m and cols[j] < m]
+        assert addable == [], (cover.base.pairs(), cover.list_sizes, (u, v))
+
+
+def test_completion_is_a_union_of_maximum_matchings():
+    """Every degree-capped starting set on lists of size <= 3 with m <= 3
+    completes to a superset that cannot grow and is a union of m maximum
+    matchings."""
+    checked = 0
+    for a, b, m in itertools.product(range(1, 4), repeat=3):
+        g = Multigraph(2, {(1, 2): m})
+        for start in degree_bounded_cell_sets(a, b, m):
+            cells = _complete_to_maximal(g, (a, b), {(1, 2): start})[(1, 2)]
+            checked += 1
+            assert start <= cells
+            _assert_cannot_grow(Cover(g, (a, b), {(1, 2): cells}))
+            assert is_union_of_maximum_matchings(cells, a, b, m), (a, b, m, start)
+    assert checked == 1168
+
+
+def test_oracle_witnesses_cannot_grow(census_oracle_run):
+    # a completion that extends each matching of an edge colouring on its
+    # own leaves an addable cell on this graph's pair (3, 4)
+    g = parse_multigraph("4\n1 4 1\n2 3 2\n3 4 2\n")
+    witnesses = [find_uncolorable_cover(g, g.degrees())]
+    witnesses.extend(w for _, _, w in census_oracle_run[0] if w is not None)
+    for witness in witnesses:
+        _assert_cannot_grow(witness)
 
 
 def test_oracle_examples():
@@ -299,6 +377,7 @@ def test_gauge_on_doubled_pairs_matches_brute_force():
             answers.add(expected)
             if witness is not None:
                 assert brute_force_transversal(witness) is None
+                _assert_cannot_grow(witness)
     assert checked == 419
     assert answers == {True, False}
 
