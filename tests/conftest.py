@@ -1,4 +1,6 @@
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +26,11 @@ def census_oracle_run():
         results.append((g, colorable, witness))
     elapsed = time.perf_counter() - start
     return results, elapsed
+
+
+@pytest.fixture(scope="session")
+def witness_record():
+    """tests/data/witness_digests.json: record key -> recorded digest (see
+    test_witness_digests.py)."""
+    path = Path(__file__).parent / "data" / "witness_digests.json"
+    return json.loads(path.read_text())

@@ -176,6 +176,15 @@ def random_connected_multigraph(rng, max_n, max_mult, min_n=1):
             return g
 
 
+def random_multigraph(rng, max_n, max_mult):
+    """Random multigraph, often disconnected and with isolated vertices."""
+    n = rng.randint(1, max_n)
+    p = rng.uniform(0.1, 0.6)
+    return Multigraph(n, {(u, v): rng.randint(1, max_mult)
+                          for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                          if rng.random() < p})
+
+
 def random_simple_graph(rng, max_n, edge_prob=0.5, min_n=1):
     n = rng.randint(min_n, max_n)
     mult = {}

@@ -4,7 +4,7 @@ from dpcolor import (CompletePower, Cover, CyclePower, Multigraph, Other,
                      build_bad_complete, build_bad_cycle,
                      decide_degree_colorable, degree_colorable_oracle,
                      is_valid_cover, solve)
-from oracles import random_connected_multigraph
+from oracles import random_connected_multigraph, random_multigraph
 
 
 def bowtie():
@@ -134,15 +134,6 @@ def test_witnesses_sound_on_random_negatives():
         assert is_valid_cover(verdict.witness)
         assert verdict.witness.list_sizes == g.degrees()
         assert not solve(verdict.witness).colorable
-
-
-def random_multigraph(rng, max_n, max_mult):
-    """Random multigraph, often disconnected and with isolated vertices."""
-    n = rng.randint(1, max_n)
-    p = rng.uniform(0.1, 0.6)
-    return Multigraph(n, {(u, v): rng.randint(1, max_mult)
-                          for u in range(1, n + 1) for v in range(u + 1, n + 1)
-                          if rng.random() < p})
 
 
 def test_components_agree_with_induced_subgraphs():
