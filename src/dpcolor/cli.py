@@ -9,6 +9,7 @@ or any other unexpected exception), so a crash never reads as an answer.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .census import connected_multigraphs
@@ -181,10 +182,13 @@ def cmd_census(args, config):
     configs = [config] * len(graphs)
     if config.output_format == "text":
         print("# id n 2E chi_dp slack verdict")
-    if config.worker_count > 1:
+    # a pool starts all its workers at the first task, so never ask for
+    # more than there are records or CPUs
+    workers = min(config.worker_count, len(graphs), os.cpu_count() or 1)
+    if workers > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 lines = list(pool.map(_census_record, graphs, configs))
         except OSError:
             lines = list(map(_census_record, graphs, configs))

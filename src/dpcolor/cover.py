@@ -20,10 +20,12 @@ and builds that form in one pass.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import CapExceeded, ParseError
-from .multigraph import Multigraph, _share, bad_entry, parse_vertex_count
+from .multigraph import (CompletePower, CyclePower, Multigraph, _share, bad_entry,
+                         parse_vertex_count)
 
 
 class Transversal(NamedTuple):
@@ -193,50 +195,66 @@ def product_reduction(g: Multigraph, k: int) -> Cover:
     return Cover(g, (k,) * g.n, {(u, v): ident for u, v, _ in g.pairs()})
 
 
+def _band_cover(g: Multigraph, parts) -> Cover:
+    """The paper's band cover of g, a degree cover that has no transversal
+    when parts holds every block of some component.
+
+    parts lists (block vertices, CompletePower | CyclePower).  Each part
+    gives each of its vertices bands of width k: r - 1 bands on K_r^k, 2 on
+    C_r^k.  Colors of adjacent block vertices conflict exactly when they lie
+    in the same band, except on the closing edge of an even cycle, which
+    swaps the two bands; a cycle is walked from its smallest vertex toward
+    its smaller neighbor.  A vertex's bands follow one another across the
+    parts, in the order of parts, so its list is its degree and the
+    implicit clique on it ties the parts together.  A vertex in no part
+    keeps its degree as its list size and gets no cross edges.
+    """
+    sizes = dict.fromkeys((v for vs, _ in parts for v in vs), 0)
+    cross = {}
+    for vs, shape in parts:
+        if isinstance(shape, CyclePower):
+            bands, ring, prev = 2, [min(vs)], None
+            inside = set(vs)
+            while len(ring) < len(vs):
+                cur = ring[-1]
+                ring.append(min(w for w in g.neighbors(cur) if w in inside and w != prev))
+                prev = cur
+            edges = [(u, v, False) for u, v in zip(ring, ring[1:])]
+            edges.append((ring[-1], ring[0], len(ring) % 2 == 0))
+        else:
+            bands = shape.n - 1
+            edges = [(u, v, False) for u, v in combinations(sorted(vs), 2)]
+        k = shape.k
+        width = range(1, k + 1)
+        for u, v, swap in edges:
+            if u > v:
+                u, v = v, u
+            du, dv = sizes[u], sizes[v]
+            cross[(u, v)] = [(du + b * k + x, dv + (b ^ swap) * k + y)
+                             for b in range(bands) for x in width for y in width]
+        for v in vs:
+            sizes[v] += bands * k
+    return Cover(g, (sizes.get(v, g.degree(v)) for v in g.vertices()), cross)
+
+
 def build_bad_complete(n: int, k: int) -> Cover:
     """Degree cover of the k-fold complete multigraph on n vertices with no
-    transversal.
-
-    Each list has k*(n-1) colors arranged in n-1 bands of width k; two colors
-    of different vertices conflict exactly when they lie in the same band.
-    Any transversal must repeat a band among its n chosen colors.
-    """
+    transversal: the band cover, whose n - 1 bands cannot hold n colors."""
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if k < 1:
         raise ValueError("multiplicity must be at least 1")
-    base = Multigraph.complete(n, k)
-    size = k * (n - 1)
-    band = frozenset(((b - 1) * k + x, (b - 1) * k + y)
-                     for b in range(1, n) for x in range(1, k + 1) for y in range(1, k + 1))
-    cross = {(u, v): band for u in range(1, n + 1) for v in range(u + 1, n + 1)}
-    return Cover(base, (size,) * n, cross)
+    return _band_cover(Multigraph.complete(n, k), [(range(1, n + 1), CompletePower(n, k))])
 
 
 def build_bad_cycle(n: int, k: int) -> Cover:
-    """Degree cover of the k-fold n-cycle with no transversal.
-
-    Lists have 2k colors in two bands of width k.  Consecutive edges match
-    equal bands; the closing edge (1, n) matches bands straight or swapped
-    depending on the parity of n, so band choices cannot alternate all the
-    way around the cycle.
-    """
+    """Degree cover of the k-fold n-cycle with no transversal: the band
+    cover, on which band choices cannot alternate all the way around."""
     if n < 3:
         raise ValueError("need at least 3 vertices")
     if k < 1:
         raise ValueError("multiplicity must be at least 1")
-    base = Multigraph.cycle(n, k)
-    straight = frozenset(((b - 1) * k + x, (b - 1) * k + y)
-                         for b in (1, 2) for x in range(1, k + 1) for y in range(1, k + 1))
-    cross = {(v, v + 1): straight for v in range(1, n)}
-    closing = set()
-    for b2 in (1, 2):  # band at vertex n
-        b1 = ((b2 + n) % 2) + 1  # band at vertex 1 that conflicts with it
-        for x in range(1, k + 1):
-            for y in range(1, k + 1):
-                closing.add(((b1 - 1) * k + x, (b2 - 1) * k + y))
-    cross[(1, n)] = frozenset(closing)
-    return Cover(base, (2 * k,) * n, cross)
+    return _band_cover(Multigraph.cycle(n, k), [(range(1, n + 1), CyclePower(n, k))])
 
 
 def permute_colors(cover: Cover, perms: dict) -> Cover:

@@ -352,41 +352,40 @@ def blocks(g: Multigraph) -> BlockDecomposition:
     """Biconnected blocks, cut vertices, and a classification of every block.
 
     Runs on the underlying simple graph, so two vertices joined by parallel
-    edges form a complete (K_2-power) block rather than a 2-cycle.
+    edges form a complete (K_2-power) block rather than a 2-cycle.  Each
+    block is classified from the edges the DFS found for it: r vertices
+    with one multiplicity k make CompletePower(r, k) when all r(r - 1)/2
+    pairs are joined, and CyclePower(r, k) when r >= 4 and r pairs are (a
+    2-connected graph with as many edges as vertices is a cycle), so a
+    uniform triangle is CompletePower(3, k).  Any other block is Other, and
+    an isolated vertex is CompletePower(1, 1).
     """
     edge_blocks, cuts, isolated = _articulation_data(g)
-    vertex_sets = [tuple(sorted({x for e in comp for x in e})) for comp in edge_blocks]
-    vertex_sets.extend((v,) for v in isolated)
-    vertex_sets.sort()
-    classifications = tuple(classify_block(g.induced(vs)) for vs in vertex_sets)
-    return BlockDecomposition(tuple(vertex_sets), tuple(sorted(cuts)), classifications)
+    found = [((v,), CompletePower(1, 1)) for v in isolated]
+    for comp in edge_blocks:
+        vs = tuple(sorted({x for e in comp for x in e}))
+        r = len(vs)
+        mults = {g.multiplicity(u, v) for u, v in comp}
+        shape = Other()
+        if len(mults) == 1:
+            k = mults.pop()
+            if len(comp) == r * (r - 1) // 2:
+                shape = CompletePower(r, k)
+            elif r >= 4 and len(comp) == r:
+                shape = CyclePower(r, k)
+        found.append((vs, shape))
+    found.sort(key=lambda block: block[0])
+    vertex_sets, shapes = zip(*found)
+    return BlockDecomposition(vertex_sets, tuple(sorted(cuts)), shapes)
 
 
 def classify_block(b: Multigraph):
-    """Classify a block as CompletePower, CyclePower, or Other.
-
-    Ties go to CompletePower: a uniform triangle is reported CompletePower(3, k),
-    so CyclePower always has n >= 4.  A single vertex is CompletePower(1, 1).
-    """
-    n = b.n
-    if n == 1:
-        return CompletePower(1, 1)
-    if not b.is_connected():
-        raise ValueError("not a block: disconnected")
-    if n >= 3:
-        _, cuts, _ = _articulation_data(b)
-        if cuts:
-            raise ValueError("not a block: contains a cut vertex")
-    mults = {k for (_, _, k) in b.pairs()}
-    if len(mults) != 1:
-        return Other()
-    k = mults.pop()
-    npairs = len(b._mult)
-    if npairs == n * (n - 1) // 2:
-        return CompletePower(n, k)
-    if n >= 4 and npairs == n and all(len(b.neighbors(v)) == 2 for v in b.vertices()):
-        return CyclePower(n, k)
-    return Other()
+    """The classification blocks() gives b, which must be a single block;
+    a graph with a cut vertex or more than one component raises ValueError."""
+    dec = blocks(b)
+    if len(dec.blocks) != 1:
+        raise ValueError("not a block: it has a cut vertex or is disconnected")
+    return dec.classifications[0]
 
 
 # -- text format ----------------------------------------------------------------

@@ -7,7 +7,7 @@ bug rather than a shared one.
 
 import itertools
 
-from dpcolor import Multigraph, permute_colors
+from dpcolor import CompletePower, CyclePower, Multigraph, Other, permute_colors
 
 
 def brute_force_transversal(cover):
@@ -147,6 +147,59 @@ def brute_degeneracy(g):
                        for v in sub)
             best = max(best, mind)
     return best
+
+
+def brute_blocks(g):
+    """(vertex tuple, shape) per block of g, sorted, found by definition.
+
+    A block is a maximal vertex set of size >= 2 whose induced simple graph
+    is connected with no cut vertex, searched over all subsets, or an
+    isolated vertex.  Its shape: one multiplicity k, and every pair joined
+    (CompletePower) or r >= 4 vertices each with two neighbors in the block
+    (CyclePower); anything else is Other.
+    """
+    n = g.n
+    adj = [0] * n  # bit w - 1 of adj[v - 1] is set when v and w are adjacent
+    for u, v, _ in g.pairs():
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+
+    def connected(mask):
+        seen = mask & -mask
+        while True:
+            grown = seen
+            for i in range(n):
+                if seen >> i & 1:
+                    grown |= adj[i] & mask
+            if grown == seen:
+                return seen == mask
+            seen = grown
+
+    conn = [mask != 0 and connected(mask) for mask in range(1 << n)]
+    isolated = [1 << i for i in range(n) if not adj[i]]
+    maximal = []
+    for mask in sorted(range(1 << n), key=lambda m: -bin(m).count("1")):
+        bits = [1 << i for i in range(n) if mask >> i & 1]
+        if (len(bits) >= 2 and conn[mask] and all(conn[mask ^ b] for b in bits)
+                and not any(mask & big == mask for big in maximal)):
+            maximal.append(mask)
+    out = []
+    for mask in isolated + maximal:
+        vs = tuple(v for v in g.vertices() if mask >> (v - 1) & 1)
+        r = len(vs)
+        mults = {g.multiplicity(u, v) for u, v in itertools.combinations(vs, 2)} - {0}
+        shape = Other()
+        if r == 1:
+            shape = CompletePower(1, 1)
+        elif len(mults) == 1:
+            k = mults.pop()
+            if all(g.multiplicity(u, v) for u, v in itertools.combinations(vs, 2)):
+                shape = CompletePower(r, k)
+            elif r >= 4 and all(sum(1 for w in vs if w != v and g.multiplicity(v, w)) == 2
+                                for v in vs):
+                shape = CyclePower(r, k)
+        out.append((vs, shape))
+    return sorted(out, key=lambda block: block[0])
 
 
 def gauge_equivalent(c1, c2):

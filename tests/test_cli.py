@@ -231,6 +231,7 @@ def test_census_workers_match_serial(monkeypatch, capsys):
             return iter(results)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ["census", "--max-n", "3", "--max-mult", "2"]
     assert main(argv + ["--workers", "1"]) == 0
     serial = capsys.readouterr().out
@@ -239,6 +240,33 @@ def test_census_workers_match_serial(monkeypatch, capsys):
     assert capsys.readouterr().out == serial
     assert mapped == [10]  # the pool made every record
     assert len(serial.splitlines()) == 11  # a header and 10 records
+
+
+def test_census_workers_capped_by_cpus_and_records(monkeypatch, capsys):
+    # a process pool starts all max_workers processes at the first task, so
+    # an outsized --workers must never reach it; the fake runs in-process
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ["census", "--max-n", "3", "--max-mult", "2"]
+    assert main(argv + ["--workers", "1000000"]) == 0
+    assert asked == [3]
+    assert main(["census", "--max-n", "2", "--max-mult", "1", "--workers", "1000000"]) == 0
+    assert asked == [3, 2]  # K1 and K2: two records
 
 
 def test_missing_file_is_parse_error(capsys):

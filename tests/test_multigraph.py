@@ -7,7 +7,7 @@ from dpcolor import (CapExceeded, CompletePower, CyclePower, Multigraph,
                      blocks, classify_block, format_cover, format_multigraph,
                      parse_cover, parse_multigraph, product_reduction, solve)
 from dpcolor.multigraph import MAX_VERTICES
-from oracles import brute_degeneracy, random_connected_multigraph
+from oracles import brute_blocks, brute_degeneracy, random_connected_multigraph
 
 
 def test_no_loops_or_bad_vertices():
@@ -105,9 +105,19 @@ def test_blocks_partition_edges():
                     seen[(u, v)] = seen.get((u, v), 0) + 1
         assert all(count == 1 for count in seen.values())
         assert len(seen) == len(g.pairs())
-        # re-classification is stable
-        for vs, cls in zip(dec.blocks, dec.classifications):
-            assert classify_block(g.induced(vs)) == cls
+        assert list(zip(dec.blocks, dec.classifications)) == brute_blocks(g)
+
+
+def test_blocks_match_brute_force(witness_record):
+    graphs = [parse_multigraph(key) for key in witness_record
+              if not key.startswith("build_bad")]
+    assert len(graphs) == 633
+    for g in graphs:
+        dec = blocks(g)
+        where = format_multigraph(g)
+        assert list(zip(dec.blocks, dec.classifications)) == brute_blocks(g), where
+        cuts = [v for v in g.vertices() if sum(v in vs for vs in dec.blocks) > 1]
+        assert dec.cut_vertices == tuple(cuts), where
 
 
 def test_classify_examples():
