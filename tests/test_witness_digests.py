@@ -17,13 +17,13 @@ Rewrite the record only for an intended change of witness:
 import hashlib
 import json
 import random
-import sys
 from pathlib import Path
 
 from dpcolor import (build_bad_complete, build_bad_cycle,
                      connected_multigraphs, connected_simple_graphs,
                      decide_degree_colorable, format_cover, format_multigraph,
                      gdp_trees, parse_multigraph)
+from oracles import random_multigraph
 
 CONSTRUCTIONS = {"build_bad_complete": build_bad_complete,
                  "build_bad_cycle": build_bad_cycle}
@@ -44,7 +44,6 @@ def value(key):
 
 def record_keys():
     """The record's keys, in the order they are written."""
-    from oracles import random_multigraph
     graphs = [*connected_multigraphs(4, 2), *connected_multigraphs(5, 1),
               *connected_simple_graphs(6), *gdp_trees(8, 4, 4)]
     rng = random.Random(1609)
@@ -65,7 +64,6 @@ def test_witnesses_match_the_record(witness_record):
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).parent))
     path = Path(__file__).parent / "data" / "witness_digests.json"
     record = {key: value(key) for key in record_keys()}
     path.write_text(json.dumps(record, indent=0) + "\n")
