@@ -153,16 +153,6 @@ class Multigraph:
     def underlying_simple(self) -> "Multigraph":
         return Multigraph(self.n, {p: 1 for p in self._mult})
 
-    def induced(self, vertices) -> "Multigraph":
-        """Sub-multigraph on the given vertices, relabeled 1..m in sorted order."""
-        vs = sorted(set(vertices))
-        if not vs:
-            raise ValueError("induced subgraph needs at least one vertex")
-        pos = {v: i + 1 for i, v in enumerate(vs)}
-        mult = {(pos[u], pos[v]): k for (u, v), k in self._mult.items()
-                if u in pos and v in pos}
-        return Multigraph(len(vs), mult)
-
     def delete_single_edge(self, u: int, v: int) -> "Multigraph":
         """Remove one parallel edge between u and v."""
         key = (u, v) if u < v else (v, u)

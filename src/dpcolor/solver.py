@@ -28,16 +28,17 @@ Two engines live here:
   surviving transversal whose cells are all unaddable can never be blocked,
   and a capacity bound shows when the cells each pair can still add, taken
   with their kill counts and with overlaps ignored, cannot block every
-  surviving transversal.  Spanning-tree gauge fixing shrinks the space.
+  surviving transversal.  Spanning-forest gauge fixing shrinks the space.
   An uncolorable cover may be taken maximal, each pair of multiplicity m a
   union of m maximum matchings (adding cross edges never makes a
-  transversal), and a maximum matching saturates the shorter list.  Along
-  a BFS tree, take a pair from parent u to child w with |L(u)| <= |L(w)|:
-  relabeling w's list maps one of its matchings onto the diagonal, and
-  relabeling top-down along the tree does this for every tree pair at
-  once.  So a pair of multiplicity 1 uses only diagonal cells, and a pair
-  of multiplicity m >= 2 with |L(u)| < |L(w)| holds the diagonal cells
-  (i, i), i <= |L(u)|, from the start.  Equal lists at m >= 2 are left
+  transversal), and a maximum matching saturates the shorter list.  In a
+  forest grown from the shortest lists, every pair runs from a parent u
+  to a child w with |L(u)| <= |L(w)|: relabeling w's list maps one of its
+  matchings onto the diagonal, and relabeling top-down along the forest
+  does this for every tree pair at once, whatever the number of roots in
+  a component.  So a pair of multiplicity 1 uses only diagonal cells, and
+  a pair of multiplicity m >= 2 with |L(u)| < |L(w)| holds the diagonal
+  cells (i, i), i <= |L(u)|, from the start.  Equal lists at m >= 2 are left
   ungauged: pre-taking their diagonal made searches that find a cover
   several times longer.  This search too runs on an explicit stack, one
   frame per node on the path.
@@ -271,11 +272,19 @@ def _class_masks(sizes):
     return masks
 
 
-def _spanning_forest(g: Multigraph):
-    """BFS forest; returns {pair_key: child_vertex} for tree edges."""
-    tree = {}
+def _spanning_forest(g: Multigraph, sizes):
+    """Forest grown from the shortest lists; returns its pairs (u, v), u < v.
+
+    Roots are taken in (list size, vertex) order, and each BFS follows a
+    pair v -> w only when |L(w)| >= |L(v)|, so no parent's list is longer
+    than its child's.  Each connected set of equal-size vertices with no
+    neighbor of a shorter list gets one root, and every forest with that
+    property needs at least as many.  Uniform lists give the BFS tree from
+    each component's lowest vertex.
+    """
+    tree = set()
     seen = set()
-    for root in g.vertices():
+    for root in sorted(g.vertices(), key=lambda v: (sizes[v - 1], v)):
         if root in seen:
             continue
         seen.add(root)
@@ -283,11 +292,10 @@ def _spanning_forest(g: Multigraph):
         while queue:
             v = queue.pop(0)
             for w in g.neighbors(v):
-                if w in seen:
+                if w in seen or sizes[w - 1] < sizes[v - 1]:
                     continue
                 seen.add(w)
-                key = (v, w) if v < w else (w, v)
-                tree[key] = w
+                tree.add((v, w) if v < w else (w, v))
                 queue.append(w)
     return tree
 
@@ -306,7 +314,7 @@ def _search_blocking_cells(g: Multigraph, sizes, config: Config):
     pu = [p[0] for p in plist]
     pv = [p[1] for p in plist]
     pm = [p[2] for p in plist]
-    tree = _spanning_forest(g)
+    tree = _spanning_forest(g, sizes)
     classmask = _class_masks(sizes)
     # cells[p][k] = (k, i, j, mask) for the cells (i, j) the gauge allows, row
     # by row: k = (i - 1) * width[p] + j - 1, or k = i - 1 on a gauge-fixed
@@ -317,9 +325,7 @@ def _search_blocking_cells(g: Multigraph, sizes, config: Config):
     fixed = []      # (p, k): diagonal cells the gauge takes before the search
     for p, (u, v, m) in enumerate(plist):
         a, b = sizes[u - 1], sizes[v - 1]
-        child = tree.get((u, v))
-        # the parent's list is no longer than the child's
-        gauged = child is not None and sizes[u + v - child - 1] <= sizes[child - 1]
+        gauged = (u, v) in tree
         diag = gauged and m == 1
         allowed = [(i, i) for i in range(1, min(a, b) + 1)] if diag else \
             [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]

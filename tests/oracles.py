@@ -5,6 +5,7 @@ product scans and naive backtracking only, so a disagreement means a real
 bug rather than a shared one.
 """
 
+import functools
 import itertools
 
 from dpcolor import CompletePower, CyclePower, Multigraph, Other, permute_colors
@@ -51,24 +52,42 @@ def brute_cover_count(g, sizes):
     return count
 
 
+@functools.lru_cache(maxsize=None)
+def maximal_cell_sets(a, b, m):
+    """The degree-bounded cell sets of [a] x [b] that no cell can be added
+    to: every cell left out has a row or a column of degree m already."""
+    out = []
+    for cells in degree_bounded_cell_sets(a, b, m):
+        rows, cols = [0] * (a + 1), [0] * (b + 1)
+        for i, j in cells:
+            rows[i] += 1
+            cols[j] += 1
+        if all(rows[i] == m or cols[j] == m
+               for i, j in itertools.product(range(1, a + 1), range(1, b + 1))
+               if (i, j) not in cells):
+            out.append(cells)
+    return tuple(out)
+
+
 def brute_uncolorable_cover_exists(g, sizes):
     """True iff some cover of g with these list sizes has no transversal.
 
-    Scans every cover: per pair, every cell set within the degree caps.  A
-    cover's blocked transversals are the union of what its pairs block, each
-    pair's share found by a plain product scan.
+    Scans every cover whose pairs are maximal cell sets: adding a cell only
+    blocks more, so if any cover is uncolorable, one of these is.  A cover's
+    blocked transversals are the union of what its pairs block, each pair's
+    share found by a plain product scan.
     """
     transversals = list(itertools.product(*[range(1, s + 1) for s in sizes]))
     everything = (1 << len(transversals)) - 1
     per_pair = []
     for u, v, m in g.pairs():
-        blocked_sets = []
-        for cells in degree_bounded_cell_sets(sizes[u - 1], sizes[v - 1], m):
+        blocked_sets = set()
+        for cells in maximal_cell_sets(sizes[u - 1], sizes[v - 1], m):
             blocked = 0
             for b, t in enumerate(transversals):
                 if (t[u - 1], t[v - 1]) in cells:
                     blocked |= 1 << b
-            blocked_sets.append(blocked)
+            blocked_sets.add(blocked)
         per_pair.append(blocked_sets)
     for combo in itertools.product(*per_pair):
         blocked = 0
@@ -200,6 +219,16 @@ def brute_blocks(g):
                 shape = CyclePower(r, k)
         out.append((vs, shape))
     return sorted(out, key=lambda block: block[0])
+
+
+def induced(g, vertices):
+    """Sub-multigraph of g on the given vertices, relabeled 1..m in sorted order."""
+    vs = sorted(set(vertices))
+    if not vs:
+        raise ValueError("induced subgraph needs at least one vertex")
+    pos = {v: i + 1 for i, v in enumerate(vs)}
+    return Multigraph(len(vs), {(pos[u], pos[v]): m for u, v, m in g.pairs()
+                                if u in pos and v in pos})
 
 
 def gauge_equivalent(c1, c2):

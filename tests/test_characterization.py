@@ -4,7 +4,7 @@ from dpcolor import (CompletePower, Cover, CyclePower, Multigraph, Other,
                      build_bad_complete, build_bad_cycle,
                      decide_degree_colorable, degree_colorable_oracle,
                      is_valid_cover, solve)
-from oracles import random_connected_multigraph, random_multigraph
+from oracles import induced, random_connected_multigraph, random_multigraph
 
 
 def bowtie():
@@ -147,7 +147,7 @@ def test_components_agree_with_induced_subgraphs():
         verdict = decide_degree_colorable(g)
         assert [comp for comp, _ in verdict.components] == list(g.components())
         for comp, ok in verdict.components:
-            assert ok == decide_degree_colorable(g.induced(comp)).colorable
+            assert ok == decide_degree_colorable(induced(g, comp)).colorable
         assert verdict.colorable == all(ok for _, ok in verdict.components)
         disconnected += len(verdict.components) > 1
         isolated += 0 in g.degrees()

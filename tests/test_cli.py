@@ -1,8 +1,12 @@
+import argparse
 import concurrent.futures
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -481,15 +485,47 @@ def test_import_leaves_out_dataclasses():
     assert subprocess.run([sys.executable, "-S", "-c", code]).returncode == 0
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
-def test_golden_corpus(case, tmp_path, monkeypatch, capsys):
-    """Stdout, exit code and written files match the recorded corpus byte
-    for byte.  An argument "@name" is the input file tests/data/name; output
-    files are written to the working directory."""
-    monkeypatch.chdir(tmp_path)
+def run_case(case, workdir):
+    """(exit code, stdout, {name: text} of the files written) of one corpus
+    case run in workdir.  An argument "@name" is the input file
+    tests/data/name."""
     argv = [str(DATA / a[1:]) if a.startswith("@") else a for a in case["argv"]]
-    assert main(argv) == case["exit"]
-    assert capsys.readouterr().out == case["stdout"]
-    assert sorted(os.listdir(tmp_path)) == sorted(case["files"])
-    for name, text in case["files"].items():
-        assert (tmp_path / name).read_text() == text
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    files = {name: (Path(workdir) / name).read_text() for name in sorted(os.listdir(workdir))}
+    return code, out.getvalue(), files
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
+def test_golden_corpus(case, tmp_path):
+    """Stdout, exit code and written files match the recorded corpus byte
+    for byte; output files are written to the working directory.
+
+    Rewrite entries only for an intended change of output:
+    ``PYTHONPATH=src python tests/test_cli.py --record ID ...``.
+    """
+    assert run_case(case, tmp_path) == (case["exit"], case["stdout"], case["files"])
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        description="Rewrite the named entries of tests/data/cli_golden.json "
+                    "from what the current code prints and writes.")
+    parser.add_argument("--record", nargs="+", required=True, metavar="ID")
+    ids = parser.parse_args().record
+    cases = {case["id"]: case for case in GOLDEN}
+    unknown = [i for i in ids if i not in cases]
+    if unknown:
+        parser.error(f"unknown corpus id: {' '.join(unknown)}")
+    for i in ids:
+        with tempfile.TemporaryDirectory() as tmp:
+            cases[i]["exit"], cases[i]["stdout"], cases[i]["files"] = run_case(cases[i], tmp)
+    (DATA / "cli_golden.json").write_text(
+        "[\n" + ",\n".join(json.dumps(case) for case in GOLDEN) + "\n]\n")
+    print(f"rewrote {len(ids)} of {len(GOLDEN)} entries")

@@ -6,6 +6,7 @@ from dpcolor import (GdpPrecondition, Multigraph, check_bound_multigraph,
                      check_bound_simple, check_critical, check_gdp_edge_bound,
                      gdp_trees, is_gallai_tree, is_gdp_tree,
                      simple_critical_coefficient)
+from oracles import induced
 
 
 def test_check_critical_examples():
@@ -149,7 +150,7 @@ def test_leaf_block_removal_keeps_bound():
                 if len(inside) != len(vs) - 1:
                     continue  # not a leaf block
                 keep = [v for v in t.vertices() if v not in inside]
-                smaller = t.induced(keep)
+                smaller = induced(t, keep)
                 if not smaller.is_connected():
                     continue
                 ok2, _ = check_gdp_edge_bound(smaller, k)

@@ -7,7 +7,8 @@ from dpcolor import (CapExceeded, CompletePower, CyclePower, Multigraph,
                      blocks, classify_block, format_cover, format_multigraph,
                      parse_cover, parse_multigraph, product_reduction, solve)
 from dpcolor.multigraph import MAX_VERTICES
-from oracles import brute_blocks, brute_degeneracy, random_connected_multigraph
+from oracles import (brute_blocks, brute_degeneracy, induced,
+                     random_connected_multigraph)
 
 
 def test_no_loops_or_bad_vertices():
@@ -161,7 +162,7 @@ def test_delete_and_induce():
     assert g.delete_single_edge(2, 3).multiplicity(2, 3) == 0
     with pytest.raises(ValueError):
         g.delete_single_edge(1, 4)
-    sub = g.induced([2, 3, 4])
+    sub = induced(g, [2, 3, 4])
     assert sub.n == 3 and sub.pairs() == [(1, 2, 1), (2, 3, 1)]
 
 

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -11,15 +12,18 @@ import dpcolor.solver
 from dpcolor import (CapExceeded, Config, Cover, CoverInvalid,
                      InternalInvariantError, Multigraph,
                      Transversal, build_bad_complete, build_bad_cycle,
-                     check_transversal, chi_dp, degree_colorable_oracle,
+                     check_transversal, chi_dp, connected_multigraphs,
+                     degree_colorable_oracle,
                      find_uncolorable_cover, is_valid_cover, parse_multigraph,
                      permute_colors, product_reduction, random_degree_cover,
                      solve, validate_cover)
-from dpcolor.solver import MAX_MASK_BITS, _class_masks, _complete_to_maximal
+from dpcolor.solver import (MAX_MASK_BITS, _class_masks, _complete_to_maximal,
+                            _spanning_forest)
 from oracles import (brute_chromatic_number, brute_cover_count,
                      brute_force_transversal, brute_uncolorable_cover_exists,
                      degree_bounded_cell_sets, gauge_equivalent,
-                     is_union_of_maximum_matchings, random_connected_multigraph)
+                     is_union_of_maximum_matchings, maximal_cell_sets,
+                     random_connected_multigraph)
 
 DATA = Path(__file__).parent / "data"
 
@@ -389,6 +393,40 @@ def test_gauge_keeps_the_left_out_oracle_search_small():
     g = parse_multigraph("4\n1 3 2\n1 4 2\n2 3 2\n2 4 2\n3 4 2\n")
     assert g.degrees() == (4, 4, 6, 6)
     assert find_uncolorable_cover(g, g.degrees(), Config(node_budget=5_000)) is None
+
+
+def test_forest_from_the_shortest_lists_keeps_a_mixed_degree_search_small():
+    # with the BFS tree from vertex 1, 1 of this (4,4,3,3,2) graph's 4 tree
+    # pairs was gauge-fixed and the search took 2,553 nodes; grown from the
+    # shortest lists, all 4 are, and it exhausts within 500
+    g = parse_multigraph("5\n1 2 1\n1 3 1\n1 4 1\n1 5 1\n2 3 1\n2 4 1\n2 5 1\n3 4 1\n")
+    assert g.degrees() == (4, 4, 3, 3, 2)
+    assert find_uncolorable_cover(g, g.degrees(), Config(node_budget=500)) is None
+
+
+def test_forests_with_several_roots_match_brute_force():
+    """Grown from the shortest lists, a component's forest has one root per
+    connected set of equal-size vertices with no neighbor of a shorter list.
+    Existence answers must agree with scanning every maximal cover, on
+    every connected multigraph on at most 4 vertices with multiplicity <= 2
+    and every list-size vector with sizes 1..4 and at most 200
+    transversals, leaving out those with over 2,000 maximal covers."""
+    checked = several_roots = 0
+    answers = set()
+    for g in connected_multigraphs(4, 2):
+        for sizes in itertools.product(range(1, 5), repeat=g.n):
+            if math.prod(sizes) > 200 or math.prod(
+                    len(maximal_cell_sets(sizes[u - 1], sizes[v - 1], m))
+                    for u, v, m in g.pairs()) > 2_000:
+                continue  # the brute force would take too long
+            checked += 1
+            several_roots += g.n - len(_spanning_forest(g, sizes)) >= 2
+            expected = brute_uncolorable_cover_exists(g, sizes)
+            assert (find_uncolorable_cover(g, sizes) is not None) == expected, \
+                (g.pairs(), sizes)
+            answers.add(expected)
+    assert (checked, several_roots) == (6_717, 1_357)
+    assert answers == {True, False}
 
 
 def _broken_cover(rng, kind):
