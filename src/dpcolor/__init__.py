@@ -12,7 +12,6 @@ pulls in inspect and ast, about 1 MB of resident memory per process.
 from .census import (are_isomorphic, canonical_key, connected_multigraphs,
                      connected_simple_graphs, gdp_trees)
 from .characterization import DegreeColorabilityVerdict, decide_degree_colorable
-from .config import DEFAULT, Config
 from .cover import (Cover, Transversal, Violation, build_bad_complete,
                     build_bad_cycle, format_cover, is_valid_cover,
                     iter_violations, parse_cover, permute_colors,
@@ -33,8 +32,8 @@ from .solver import (SolveResult, check_transversal, chi_dp,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDecomposition", "CapExceeded", "CompletePower", "Config", "Cover",
-    "CoverInvalid", "CriticalityReport", "CyclePower", "DEFAULT",
+    "BlockDecomposition", "CapExceeded", "CompletePower", "Cover",
+    "CoverInvalid", "CriticalityReport", "CyclePower",
     "DegreeColorabilityVerdict", "GdpPrecondition", "InternalInvariantError",
     "Multigraph", "Other", "ParseError", "SolveResult", "Transversal",
     "Violation", "are_isomorphic", "blocks", "build_bad_complete",

@@ -122,6 +122,8 @@ def connected_multigraphs(max_n: int, max_mult: int):
     """
     if max_n > 6:
         raise ValueError("multigraph census supported up to 6 vertices")
+    if max_mult < 0:
+        raise ValueError("max_mult must be nonnegative")
     return _census(max_n, max_mult)
 
 

@@ -14,14 +14,13 @@ import sys
 
 from .census import connected_multigraphs
 from .characterization import decide_degree_colorable
-from .config import Config
 from .cover import (MAX_LIST_SIZE, format_cover, iter_violations, parse_cover,
                     reduce_list)
 from .critical import check_bound_multigraph, check_critical
 from .errors import (CapExceeded, CoverInvalid, InternalInvariantError,
                      ParseError)
 from .multigraph import Multigraph, parse_multigraph
-from .solver import chi_dp, degree_colorable_oracle, solve
+from .solver import NODE_BUDGET, chi_dp, degree_colorable_oracle, solve
 
 
 def _read(path):
@@ -30,6 +29,14 @@ def _read(path):
             return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}") from None
+
+
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValueError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _load_graph(path) -> Multigraph:
@@ -65,30 +72,30 @@ def _parse_lists(text, n):
     return lists
 
 
-def cmd_validate(args, config):
+def cmd_validate(args):
     base = _load_graph(args.graph) if args.graph else None
     cover = parse_cover(_read(args.cover), base=base)
     violations = list(iter_violations(cover))
     if not violations:
         print("valid")
         return 0
-    if config.strict:
+    if args.strict:
         raise ParseError(f"strict mode: {violations[0]}")
     for v in violations:
         print(str(v))
     return 1
 
 
-def cmd_solve(args, config):
+def cmd_solve(args):
     g = _load_graph(args.graph)
     cover = parse_cover(_read(args.cover), base=g)
     try:
-        res = solve(cover, config)  # validates, raising CoverInvalid
+        res = solve(cover, args.node_budget)  # validates, raising CoverInvalid
     except CoverInvalid as e:
-        if config.strict:
+        if args.strict:
             raise ParseError(f"strict mode: {e}") from None
         raise
-    if config.output_format == "lines":
+    if args.format == "lines":
         if res.colorable:
             print("colorable " + " ".join(str(i) for i in res.transversal.choice))
         else:
@@ -102,16 +109,17 @@ def cmd_solve(args, config):
     return 0 if res.colorable else 1
 
 
-def cmd_chi_dp(args, config):
+def cmd_chi_dp(args):
     g = _load_graph(args.graph)
-    print(chi_dp(g, config))
+    print(chi_dp(g, args.node_budget))
     return 0
 
 
-def cmd_degree_colorable(args, config):
+def cmd_degree_colorable(args):
     g = _load_graph(args.graph)
+    lines = []
     if args.oracle:
-        ok, witness = degree_colorable_oracle(g, config)
+        ok, witness = degree_colorable_oracle(g, args.node_budget)
     else:
         # a witness's lists are degree-sized: above the cap parse_cover could
         # never read it back, so it is refused before it is built
@@ -124,20 +132,21 @@ def cmd_degree_colorable(args, config):
         if len(verdict.components) > 1:
             for comp, colorable in verdict.components:
                 state = "degree-colorable" if colorable else "not-degree-colorable"
-                print(f"component {' '.join(str(v) for v in comp)}: {state}")
-    print("DEGREE-COLORABLE" if ok else "NOT-DEGREE-COLORABLE")
+                lines.append(f"component {' '.join(str(v) for v in comp)}: {state}")
+    lines.append("DEGREE-COLORABLE" if ok else "NOT-DEGREE-COLORABLE")
     if witness is not None and args.witness:
-        with open(args.witness, "w") as fh:
-            fh.write(format_cover(witness))
-        print(f"witness written to {args.witness}")
+        # written before anything is printed, so a failed write prints no verdict
+        _write(args.witness, format_cover(witness))
+        lines.append(f"witness written to {args.witness}")
+    print("\n".join(lines))
     return 0 if ok else 1
 
 
-def cmd_check_critical(args, config):
+def cmd_check_critical(args):
     g = _load_graph(args.graph)
-    report = check_critical(g, args.k, config)
+    report = check_critical(g, args.k, args.node_budget)
     ok_bound, slack = check_bound_multigraph(g, args.k)
-    if config.output_format == "lines":
+    if args.format == "lines":
         fail = "-" if report.failing_subgraph is None else \
             ":".join(str(x) for x in report.failing_subgraph)
         print(f"{'critical' if report.is_critical else 'not-critical'} "
@@ -155,21 +164,20 @@ def cmd_check_critical(args, config):
     return 0 if report.is_critical else 1
 
 
-def cmd_reduce(args, config):
+def cmd_reduce(args):
     g = _load_graph(args.graph)
     lists = _parse_lists(_read(args.lists), g.n)
     cover = reduce_list(g, lists)
     text = format_cover(cover)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _census_record(g, config):
-    chi = chi_dp(g, config)
+def _census_record(g, node_budget):
+    chi = chi_dp(g, node_budget)
     colorable = decide_degree_colorable(g, build_witness=False).colorable
     _, slack = check_bound_multigraph(g, chi)
     state = "degree-colorable" if colorable else "not-degree-colorable"
@@ -177,23 +185,25 @@ def _census_record(g, config):
             f"{slack.numerator}/{slack.denominator} {state}")
 
 
-def cmd_census(args, config):
+def cmd_census(args):
+    if args.workers < 1:
+        raise ValueError("worker_count must be positive")
     graphs = connected_multigraphs(args.max_n, args.max_mult)
-    configs = [config] * len(graphs)
-    if config.output_format == "text":
+    budgets = [args.node_budget] * len(graphs)
+    if args.format == "text":
         print("# id n 2E chi_dp slack verdict")
     # a pool starts all its workers at the first task, so never ask for
     # more than there are records or CPUs
-    workers = min(config.worker_count, len(graphs), os.cpu_count() or 1)
+    workers = min(args.workers, len(graphs), os.cpu_count() or 1)
     if workers > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                lines = list(pool.map(_census_record, graphs, configs))
+                lines = list(pool.map(_census_record, graphs, budgets))
         except OSError:
-            lines = list(map(_census_record, graphs, configs))
+            lines = list(map(_census_record, graphs, budgets))
     else:
-        lines = list(map(_census_record, graphs, configs))
+        lines = list(map(_census_record, graphs, budgets))
     for i, line in enumerate(lines):
         print(f"g{i} {line}")
     return 0
@@ -204,10 +214,11 @@ def build_parser():
         prog="dpcolor",
         description="Covers of multigraphs: validation, exact colorability, "
                     "DP-chromatic numbers, degree-colorability, criticality.")
-    parser.add_argument("--node-budget", type=int, help="backtracking node cap")
+    parser.add_argument("--node-budget", type=int, default=NODE_BUDGET,
+                        help=f"backtracking node cap (default {NODE_BUDGET})")
     parser.add_argument("--strict", action="store_true",
                         help="reject invalid cover files instead of reporting")
-    parser.add_argument("--format", choices=("text", "lines"), default=None,
+    parser.add_argument("--format", choices=("text", "lines"), default="text",
                         help="output style (default text)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -247,7 +258,7 @@ def build_parser():
     p = sub.add_parser("census", help="survey small connected multigraphs")
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--max-mult", type=int, default=1)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_census)
 
     return parser
@@ -255,18 +266,10 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.node_budget is not None:
-        overrides["node_budget"] = args.node_budget
-    if args.strict:
-        overrides["strict"] = True
-    if args.format is not None:
-        overrides["output_format"] = args.format
-    if getattr(args, "workers", None) is not None:
-        overrides["worker_count"] = args.workers
     try:
-        config = Config.from_env(**overrides)
-        return args.func(args, config)
+        if args.node_budget < 1:
+            raise ValueError("node_budget must be positive")
+        return args.func(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

@@ -9,9 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .config import DEFAULT, Config
 from .multigraph import CompletePower, CyclePower, Multigraph, Other, blocks
-from .solver import chi_dp, find_uncolorable_cover
+from .solver import NODE_BUDGET, chi_dp, find_uncolorable_cover
 
 
 class CriticalityReport(NamedTuple):
@@ -28,7 +27,8 @@ class GdpPrecondition(ValueError):
         self.reason = reason  # "not-gdp-tree" | "max-degree" | "contains-complete"
 
 
-def check_critical(g: Multigraph, k: int, config: Config = DEFAULT) -> CriticalityReport:
+def check_critical(g: Multigraph, k: int,
+                   node_budget: int = NODE_BUDGET) -> CriticalityReport:
     """Is g exactly at DP-chromatic number k with every deletion dropping it?
 
     Single-edge deletions suffice: every proper sub-multigraph sits inside
@@ -40,7 +40,7 @@ def check_critical(g: Multigraph, k: int, config: Config = DEFAULT) -> Criticali
     """
     if k < 1:
         raise ValueError("k must be positive")
-    chi = chi_dp(g, config)
+    chi = chi_dp(g, node_budget)
     if chi != k:
         return CriticalityReport(False, chi, None)
     if g.edge_total() == 0:
@@ -48,7 +48,7 @@ def check_critical(g: Multigraph, k: int, config: Config = DEFAULT) -> Criticali
         return CriticalityReport(g.n == 1, chi, None if g.n == 1 else ("vertex", 1))
     for u, v, _ in g.pairs():
         smaller = g.delete_single_edge(u, v)
-        if find_uncolorable_cover(smaller, k - 1, config) is not None:
+        if find_uncolorable_cover(smaller, k - 1, node_budget) is not None:
             return CriticalityReport(False, chi, ("edge", u, v))
     for v in g.vertices():
         if g.degree(v) == 0:

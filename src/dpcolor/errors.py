@@ -16,7 +16,7 @@ class CoverInvalid(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """A configured resource cap (node budget, transversal space) was hit.
+    """A resource cap (node budget, transversal space, list size) was hit.
 
     Deliberately distinct from a negative answer: searches never report
     "uncolorable" on a budget abort.

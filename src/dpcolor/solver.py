@@ -55,10 +55,13 @@ import time
 from itertools import chain, compress, product
 from typing import NamedTuple
 
-from .config import DEFAULT, Config
 from .cover import Cover, Transversal, validate_cover
 from .errors import CapExceeded, CoverInvalid, InternalInvariantError
 from .multigraph import Multigraph
+
+
+# default cap on the backtracking nodes of one solve or cell search call
+NODE_BUDGET = 5_000_000
 
 
 class SolveResult(NamedTuple):
@@ -107,7 +110,7 @@ def _conflict_masks(cover: Cover):
     return nbr
 
 
-def solve(cover: Cover, config: Config = DEFAULT) -> SolveResult:
+def solve(cover: Cover, node_budget: int = NODE_BUDGET) -> SolveResult:
     """Exact transversal search; deterministic given the cover.
 
     Vertices are chosen by smallest remaining domain (ties to the lowest
@@ -136,7 +139,6 @@ def solve(cover: Cover, config: Config = DEFAULT) -> SolveResult:
 
     frames = []  # per assigned vertex: [vertex, untried colors, saved domains]
     nodes = 0
-    budget = config.node_budget
     ok = False
     while True:
         while heap:  # pick: drop outdated entries off the top
@@ -173,8 +175,8 @@ def solve(cover: Cover, config: Config = DEFAULT) -> SolveResult:
             i = (dom & -dom).bit_length()
             frame[1] = dom & (dom - 1)
             nodes += 1
-            if nodes > budget:
-                raise CapExceeded(f"solve exceeded node budget {budget}")
+            if nodes > node_budget:
+                raise CapExceeded(f"solve exceeded node budget {node_budget}")
             chosen[v] = i
             saved = []
             alive = True
@@ -203,12 +205,14 @@ def solve(cover: Cover, config: Config = DEFAULT) -> SolveResult:
 
 # cap on the total bits of the cell masks, `space` bits a cell, built up front
 MAX_MASK_BITS = 1 << 31
+# cap on the product of the list sizes, the transversals a cell search tracks
+MAX_TRANSVERSAL_SPACE = 500_000
+# cap on the sum of the degrees a degree-colorability oracle call accepts
+MAX_ORACLE_TOTAL_DEGREE = 24
 
 
 def _normalize_sizes(g: Multigraph, list_sizes):
-    if isinstance(list_sizes, int):
-        return (list_sizes,) * g.n
-    sizes = tuple(list_sizes)
+    sizes = (list_sizes,) * g.n if isinstance(list_sizes, int) else tuple(list_sizes)
     if len(sizes) != g.n:
         raise ValueError("need one list size per vertex")
     if any(s < 0 for s in sizes):
@@ -217,7 +221,7 @@ def _normalize_sizes(g: Multigraph, list_sizes):
 
 
 def find_uncolorable_cover(g: Multigraph, list_sizes,
-                           config: Config = DEFAULT) -> Cover | None:
+                           node_budget: int = NODE_BUDGET) -> Cover | None:
     """Find a cover of g with the given list sizes and no transversal.
 
     list_sizes is a single int (uniform lists) or one size per vertex.
@@ -234,13 +238,12 @@ def find_uncolorable_cover(g: Multigraph, list_sizes,
     space = 1
     for s in sizes:
         space *= s
-        if space > config.max_transversal_space:
-            raise CapExceeded(
-                f"transversal space exceeds cap {config.max_transversal_space}")
+        if space > MAX_TRANSVERSAL_SPACE:
+            raise CapExceeded(f"transversal space exceeds cap {MAX_TRANSVERSAL_SPACE}")
     bits = space * sum(sizes[u - 1] * sizes[v - 1] for u, v, _ in g.pairs())
     if bits > MAX_MASK_BITS:
         raise CapExceeded(f"cell masks of {bits} bits exceed cap {MAX_MASK_BITS}")
-    chosen = _search_blocking_cells(g, sizes, config)
+    chosen = _search_blocking_cells(g, sizes, node_budget)
     if chosen is None:
         return None
     return Cover(g, sizes, _complete_to_maximal(g, sizes, chosen))
@@ -300,7 +303,7 @@ def _spanning_forest(g: Multigraph, sizes):
     return tree
 
 
-def _search_blocking_cells(g: Multigraph, sizes, config: Config):
+def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
     """Core complete search; returns {pair: set of cells} or None.
 
     The surviving-transversal set lives in one big integer, bit b standing
@@ -354,7 +357,6 @@ def _search_blocking_cells(g: Multigraph, sizes, config: Config):
         closed[p][k] = 1
         S &= ~mask
     nodes = 0
-    budget = config.node_budget
 
     def decode(idx):
         return tuple(idx // strides[v] % sizes[v - 1] + 1 for v in range(1, n + 1))
@@ -451,8 +453,8 @@ def _search_blocking_cells(g: Multigraph, sizes, config: Config):
     frames = []
     while True:
         nodes += 1
-        if nodes > budget:
-            raise CapExceeded(f"cover search exceeded node budget {budget}")
+        if nodes > node_budget:
+            raise CapExceeded(f"cover search exceeded node budget {node_budget}")
         if S == 0:
             return {(pu[p], pv[p]): set(taken[p]) for p in range(P)}
         frames.append([S, branches(S), 0])
@@ -510,7 +512,7 @@ def _complete_to_maximal(g: Multigraph, sizes, chosen):
 # -- high-level decisions ------------------------------------------------------
 
 
-def chi_dp(g: Multigraph, config: Config = DEFAULT) -> int:
+def chi_dp(g: Multigraph, node_budget: int = NODE_BUDGET) -> int:
     """Smallest k such that every cover of g with k-lists has a transversal.
 
     Two bounds frame the search.  From below, chi_dp > m for the largest
@@ -522,13 +524,13 @@ def chi_dp(g: Multigraph, config: Config = DEFAULT) -> int:
     low = max((m for _, _, m in g.pairs()), default=0) + 1
     cap = g.degeneracy() + 1
     for k in range(low, cap):
-        if find_uncolorable_cover(g, k, config) is None:
+        if find_uncolorable_cover(g, k, node_budget) is None:
             return k
     return cap
 
 
 def degree_colorable_oracle(g: Multigraph,
-                            config: Config = DEFAULT) -> tuple[bool, Cover | None]:
+                            node_budget: int = NODE_BUDGET) -> tuple[bool, Cover | None]:
     """Exhaustive ground truth for degree-colorability of a connected multigraph.
 
     Returns (True, None) when every cover with list sizes equal to the
@@ -542,13 +544,13 @@ def degree_colorable_oracle(g: Multigraph,
     if not g.is_connected():
         raise ValueError("oracle needs a connected multigraph")
     total = sum(g.degrees())
-    if total > config.max_total_degree:
-        raise CapExceeded(f"total degree {total} exceeds cap {config.max_total_degree}")
-    witness = find_uncolorable_cover(g, g.degrees(), config)
+    if total > MAX_ORACLE_TOTAL_DEGREE:
+        raise CapExceeded(f"total degree {total} exceeds cap {MAX_ORACLE_TOTAL_DEGREE}")
+    witness = find_uncolorable_cover(g, g.degrees(), node_budget)
     if witness is None:
         return True, None
     try:
-        colorable = solve(witness, config).colorable
+        colorable = solve(witness, node_budget).colorable
     except CoverInvalid as exc:
         raise InternalInvariantError(f"witness fails validation: {exc}") from None
     if colorable:

@@ -137,3 +137,9 @@ def test_gdp_trees_deterministic():
 def test_multigraph_census_cap():
     with pytest.raises(ValueError):
         connected_multigraphs(7, 1)
+
+
+def test_multigraph_census_refuses_a_negative_multiplicity():
+    with pytest.raises(ValueError, match="^max_mult must be nonnegative$"):
+        connected_multigraphs(3, -1)
+    assert connected_multigraphs(3, 0) == [Multigraph(1)]  # K1 alone

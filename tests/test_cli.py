@@ -15,7 +15,7 @@ import dpcolor.characterization
 import dpcolor.cli
 import dpcolor.cover
 import dpcolor.solver
-from dpcolor import (Config, Multigraph, build_bad_complete, format_cover,
+from dpcolor import (Multigraph, build_bad_complete, format_cover,
                      format_multigraph, parse_cover, product_reduction, solve)
 from dpcolor.cli import main
 from dpcolor.cover import MAX_LIST_SIZE
@@ -141,6 +141,14 @@ def test_degree_colorable_witness_pipeline(tmp_path, capsys):
     assert "UNCOLORABLE" in capsys.readouterr().out
     # and the exhaustive oracle agrees
     assert main(["degree-colorable", gra, "--oracle"]) == 1
+
+
+def test_oracle_refuses_a_total_degree_over_the_cap(tmp_path, capsys):
+    gra = write(tmp_path / "k2x13.graph", format_multigraph(Multigraph.complete(2, 13)))
+    assert main(["degree-colorable", gra, "--oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource cap: total degree 26 exceeds cap 24\n"
 
 
 def test_degree_colorable_positive(tmp_path, capsys):
@@ -284,52 +292,38 @@ def test_node_budget_flag(tmp_path, capsys):
     assert "resource cap" in capsys.readouterr().err
 
 
-def test_env_override(tmp_path, monkeypatch, capsys):
+def test_dpcolor_env_variables_change_nothing(k3_file, monkeypatch, capsys):
+    # settings come from flags alone; no environment variable is read
     monkeypatch.setenv("DPCOLOR_NODE_BUDGET", "1")
-    gra = write(tmp_path / "k4.graph", format_multigraph(Multigraph.complete(4, 2)))
-    assert main(["chi-dp", gra]) == 3
-
-
-def test_env_error_names_the_variable(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("DPCOLOR_NODE_BUDGET", "abc")
-    gra = write(tmp_path / "k3.graph", format_multigraph(Multigraph.complete(3)))
-    assert main(["chi-dp", gra]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "input error: DPCOLOR_NODE_BUDGET='abc' is not an integer\n"
-
-
-@pytest.mark.parametrize("raw", ["maybe", "2", "", "tru"])
-def test_env_bad_boolean_names_the_variable(raw, k3_file, monkeypatch, capsys):
-    monkeypatch.setenv("DPCOLOR_STRICT", raw)
-    assert main(["chi-dp", k3_file]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"input error: DPCOLOR_STRICT={raw!r} is not a boolean "
-                            "(1/true/yes/on or 0/false/no/off)\n")
-
-
-@pytest.mark.parametrize("raw,want", [("1", True), (" Yes ", True), ("ON", True),
-                                      ("true", True), ("0", False), ("off", False),
-                                      ("No", False), ("FALSE", False)])
-def test_env_boolean_spellings(raw, want, monkeypatch):
-    monkeypatch.setenv("DPCOLOR_STRICT", raw)
-    assert Config.from_env().strict is want
-
-
-def test_env_out_of_range_names_the_variable(k3_file, monkeypatch, capsys):
-    monkeypatch.setenv("DPCOLOR_NODE_BUDGET", "0")
-    assert main(["chi-dp", k3_file]) == 2
-    assert capsys.readouterr().err == "input error: DPCOLOR_NODE_BUDGET='0' must be positive\n"
-    monkeypatch.setenv("DPCOLOR_NODE_BUDGET", "5")
+    monkeypatch.setenv("DPCOLOR_STRICT", "maybe")
     monkeypatch.setenv("DPCOLOR_OUTPUT_FORMAT", "xml")
-    assert main(["chi-dp", k3_file]) == 2
-    assert capsys.readouterr().err == ("input error: DPCOLOR_OUTPUT_FORMAT='xml' "
-                                       "must be 'text' or 'lines'\n")
-    # a bad value from a flag still names the field
-    monkeypatch.delenv("DPCOLOR_OUTPUT_FORMAT")
-    assert main(["--node-budget", "0", "chi-dp", k3_file]) == 2
-    assert capsys.readouterr().err == "input error: node_budget must be positive\n"
+    assert main(["chi-dp", k3_file]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("3\n", "")
+
+
+def test_out_of_range_flags_are_input_errors(k3_file, capsys):
+    for argv, message in (
+            (["--node-budget", "0", "chi-dp", k3_file], "node_budget must be positive"),
+            (["census", "--workers", "0"], "worker_count must be positive"),
+            (["census", "--max-mult", "-1"], "max_mult must be nonnegative")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, k3_file):
+    missing = tmp_path / "missing"
+    bowtie = str(DATA / "bowtie.graph")
+    lists = write(tmp_path / "k3.lists", "1 a b\n2 a b\n3 a b\n")
+    for argv, path in ((["degree-colorable", bowtie, "--witness"], missing / "w"),
+                       (["reduce", k3_file, lists, "-o"], missing / "o")):
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no verdict before a failed write
+        assert captured.err == (f"input error: cannot write {path}: "
+                                "No such file or directory\n")
 
 
 def test_solve_long_path_cover_exit_0(tmp_path, capsys):
@@ -441,7 +435,7 @@ def test_strict_solve_words_the_walk_failure(tmp_path, monkeypatch, capsys):
 
 
 def test_flag_overrides_a_bad_env_value(monkeypatch, capsys):
-    # a variable whose field a flag sets is never read
+    # the flag alone sets the budget; the variable is never read
     monkeypatch.setenv("DPCOLOR_NODE_BUDGET", "abc")
     k3 = str(DATA / "k3.graph")
     assert main(["--node-budget", "5", "chi-dp", k3]) == 3
@@ -449,7 +443,6 @@ def test_flag_overrides_a_bad_env_value(monkeypatch, capsys):
                                        "node budget 5\n")
     assert main(["--node-budget", "1000", "chi-dp", k3]) == 0
     assert capsys.readouterr().out == "3\n"
-    assert Config.from_env(node_budget=7).node_budget == 7
 
 
 def test_oracle_refuses_a_disconnected_graph(capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dpcolor.solver
-from dpcolor import (CapExceeded, Config, Cover, CoverInvalid,
+from dpcolor import (CapExceeded, Cover, CoverInvalid,
                      InternalInvariantError, Multigraph,
                      Transversal, build_bad_complete, build_bad_cycle,
                      check_transversal, chi_dp, connected_multigraphs,
@@ -17,8 +17,9 @@ from dpcolor import (CapExceeded, Config, Cover, CoverInvalid,
                      find_uncolorable_cover, is_valid_cover, parse_multigraph,
                      permute_colors, product_reduction, random_degree_cover,
                      solve, validate_cover)
-from dpcolor.solver import (MAX_MASK_BITS, _class_masks, _complete_to_maximal,
-                            _spanning_forest)
+from dpcolor.solver import (MAX_MASK_BITS, MAX_ORACLE_TOTAL_DEGREE,
+                            MAX_TRANSVERSAL_SPACE, _class_masks,
+                            _complete_to_maximal, _spanning_forest)
 from oracles import (brute_chromatic_number, brute_cover_count,
                      brute_force_transversal, brute_uncolorable_cover_exists,
                      degree_bounded_cell_sets, gauge_equivalent,
@@ -90,9 +91,8 @@ def test_solve_rejects_invalid_and_budget():
     bad = Cover(g, (1, 2), {(1, 2): {(1, 1), (1, 2)}})
     with pytest.raises(CoverInvalid):
         solve(bad)
-    tight = Config(node_budget=1)
     with pytest.raises(CapExceeded):
-        solve(build_bad_complete(4, 2), tight)
+        solve(build_bad_complete(4, 2), 1)
 
 
 def test_greedy_succeeds_with_surplus_everywhere():
@@ -130,9 +130,9 @@ def test_chi_dp_does_not_search_its_upper_bound(monkeypatch):
     searched = []
     search = dpcolor.solver.find_uncolorable_cover
 
-    def recording(g, k, config):
+    def recording(g, k, node_budget):
         searched.append(k)
-        return search(g, k, config)
+        return search(g, k, node_budget)
 
     monkeypatch.setattr(dpcolor.solver, "find_uncolorable_cover", recording)
     for g, chi in ((Multigraph.complete(4), 4), (Multigraph.cycle(5), 3),
@@ -161,6 +161,12 @@ def test_find_uncolorable_cover_properties():
     assert find_uncolorable_cover(g, 3) is None
 
 
+def test_find_uncolorable_cover_refuses_negative_list_sizes():
+    for sizes in (-1, (1, -1, 1)):
+        with pytest.raises(ValueError, match="^list sizes must be nonnegative$"):
+            find_uncolorable_cover(Multigraph.path(3), sizes)
+
+
 def test_find_uncolorable_cover_deeper_than_the_recursion_limit():
     # K2 with 32 parallel edges and 32-lists: every one of the 1024 cells is
     # needed, so the search path is 1024 nodes deep
@@ -170,9 +176,10 @@ def test_find_uncolorable_cover_deeper_than_the_recursion_limit():
 
 
 def test_find_uncolorable_cover_space_cap():
-    with pytest.raises(CapExceeded):
-        find_uncolorable_cover(Multigraph.complete(7), 7,
-                               Config(max_transversal_space=1000))
+    # 7 ** 7 = 823,543 transversals
+    with pytest.raises(CapExceeded,
+                       match=f"^transversal space exceeds cap {MAX_TRANSVERSAL_SPACE}$"):
+        find_uncolorable_cover(Multigraph.complete(7), 7)
 
 
 def test_find_uncolorable_cover_refuses_cell_masks_over_the_cap():
@@ -182,8 +189,7 @@ def test_find_uncolorable_cover_refuses_cell_masks_over_the_cap():
     try:
         with pytest.raises(CapExceeded,
                            match=f"^cell masks of .* exceed cap {MAX_MASK_BITS}$"):
-            find_uncolorable_cover(Multigraph.complete(2, 250), 250,
-                                   Config(node_budget=1))
+            find_uncolorable_cover(Multigraph.complete(2, 250), 250, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -244,13 +250,22 @@ def test_oracle_examples():
         degree_colorable_oracle(Multigraph.complete(5, 2))
 
 
+def test_oracle_total_degree_cap_boundary():
+    # K2^12 has total degree 24, at the cap: it is searched and has a witness
+    ok, witness = degree_colorable_oracle(Multigraph.complete(2, 12))
+    assert MAX_ORACLE_TOTAL_DEGREE == 24
+    assert not ok and witness.list_sizes == (12, 12)
+    with pytest.raises(CapExceeded, match="^total degree 26 exceeds cap 24$"):
+        degree_colorable_oracle(Multigraph.complete(2, 13))
+
+
 def test_oracle_rejects_a_bad_witness(monkeypatch):
     edge = Multigraph.complete(2)
     invalid = Cover(edge, (1, 1), {(1, 2): {(1, 1), (1, 2)}})
     colorable = Cover(edge, (1, 1), {})
     for witness, message in ((invalid, "fails validation"), (colorable, "colorable")):
         monkeypatch.setattr(dpcolor.solver, "find_uncolorable_cover",
-                            lambda g, sizes, config, w=witness: w)
+                            lambda g, sizes, node_budget, w=witness: w)
         with pytest.raises(InternalInvariantError, match=message):
             degree_colorable_oracle(edge)
 
@@ -311,7 +326,7 @@ def test_solve_heap_stays_bounded(monkeypatch):
 
     monkeypatch.setattr(heapq, "heappush", tracking_push)
     with pytest.raises(CapExceeded):
-        solve(cover, Config(node_budget=20_000))
+        solve(cover, 20_000)
     assert len(lengths) > 20_000
     assert max(lengths) <= 4 * 9 + 1
 
@@ -392,7 +407,7 @@ def test_gauge_keeps_the_left_out_oracle_search_small():
     # 5,000 now
     g = parse_multigraph("4\n1 3 2\n1 4 2\n2 3 2\n2 4 2\n3 4 2\n")
     assert g.degrees() == (4, 4, 6, 6)
-    assert find_uncolorable_cover(g, g.degrees(), Config(node_budget=5_000)) is None
+    assert find_uncolorable_cover(g, g.degrees(), 5_000) is None
 
 
 def test_forest_from_the_shortest_lists_keeps_a_mixed_degree_search_small():
@@ -401,7 +416,7 @@ def test_forest_from_the_shortest_lists_keeps_a_mixed_degree_search_small():
     # shortest lists, all 4 are, and it exhausts within 500
     g = parse_multigraph("5\n1 2 1\n1 3 1\n1 4 1\n1 5 1\n2 3 1\n2 4 1\n2 5 1\n3 4 1\n")
     assert g.degrees() == (4, 4, 3, 3, 2)
-    assert find_uncolorable_cover(g, g.degrees(), Config(node_budget=500)) is None
+    assert find_uncolorable_cover(g, g.degrees(), 500) is None
 
 
 def test_forests_with_several_roots_match_brute_force():
