@@ -13,21 +13,20 @@ from .census import (are_isomorphic, canonical_key, connected_multigraphs,
                      connected_simple_graphs, gdp_trees)
 from .characterization import DegreeColorabilityVerdict, decide_degree_colorable
 from .cover import (Cover, Transversal, Violation, build_bad_complete,
-                    build_bad_cycle, format_cover, is_valid_cover,
-                    iter_violations, parse_cover, permute_colors,
-                    product_reduction, random_degree_cover, reduce_list,
-                    validate_cover)
+                    build_bad_cycle, format_cover, iter_violations, parse_cover,
+                    permute_colors, product_reduction, random_degree_cover,
+                    reduce_list, validate_cover)
 from .critical import (CriticalityReport, GdpPrecondition,
                        check_bound_multigraph, check_bound_simple,
-                       check_critical, check_gdp_edge_bound, is_gallai_tree,
-                       is_gdp_tree, simple_critical_coefficient)
+                       check_critical, check_gdp_edge_bound,
+                       simple_critical_coefficient)
 from .errors import (CapExceeded, CoverInvalid, InternalInvariantError,
                      ParseError)
 from .multigraph import (BlockDecomposition, CompletePower, CyclePower,
-                         Multigraph, Other, blocks, classify_block,
-                         format_multigraph, parse_multigraph)
-from .solver import (SolveResult, check_transversal, chi_dp,
-                     degree_colorable_oracle, find_uncolorable_cover, solve)
+                         Multigraph, Other, blocks, format_multigraph,
+                         parse_multigraph)
+from .solver import (SolveResult, chi_dp, degree_colorable_oracle,
+                     find_uncolorable_cover, solve)
 
 __version__ = "0.1.0"
 
@@ -38,12 +37,11 @@ __all__ = [
     "Multigraph", "Other", "ParseError", "SolveResult", "Transversal",
     "Violation", "are_isomorphic", "blocks", "build_bad_complete",
     "build_bad_cycle", "canonical_key", "check_bound_multigraph",
-    "check_bound_simple", "check_critical", "check_gdp_edge_bound",
-    "check_transversal", "chi_dp", "classify_block", "connected_multigraphs",
-    "connected_simple_graphs", "decide_degree_colorable",
-    "degree_colorable_oracle", "find_uncolorable_cover", "format_cover",
-    "format_multigraph", "gdp_trees", "is_gallai_tree", "is_gdp_tree",
-    "is_valid_cover", "iter_violations", "parse_cover", "parse_multigraph",
+    "check_bound_simple", "check_critical", "check_gdp_edge_bound", "chi_dp",
+    "connected_multigraphs", "connected_simple_graphs",
+    "decide_degree_colorable", "degree_colorable_oracle",
+    "find_uncolorable_cover", "format_cover", "format_multigraph",
+    "gdp_trees", "iter_violations", "parse_cover", "parse_multigraph",
     "permute_colors", "product_reduction", "random_degree_cover",
     "reduce_list", "simple_critical_coefficient", "solve", "validate_cover",
 ]

@@ -32,9 +32,6 @@ class Transversal(NamedTuple):
     """One chosen color index (1-based) per vertex, ordered by vertex."""
     choice: tuple
 
-    def __len__(self):  # the number of vertices, not of fields
-        return len(self.choice)
-
 
 class Violation(NamedTuple):
     """First reason a purported cover breaks the cover conditions."""
@@ -151,9 +148,6 @@ def validate_cover(cover: Cover) -> Violation | None:
     """None if the cover conditions hold, else the first violation."""
     return next(iter_violations(cover), None)
 
-
-def is_valid_cover(cover: Cover) -> bool:
-    return validate_cover(cover) is None
 
 
 # -- constructions ------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .multigraph import CompletePower, CyclePower, Multigraph, Other, blocks
+from .multigraph import CompletePower, Multigraph, Other, blocks
 from .solver import NODE_BUDGET, chi_dp, find_uncolorable_cover
 
 
@@ -90,29 +90,6 @@ def check_bound_simple(g: Multigraph, k: int) -> tuple[bool, Fraction]:
     return slack >= 0, slack
 
 
-def _block_shapes(g: Multigraph):
-    if not g.is_simple():
-        raise ValueError("expected a simple graph")
-    if not g.is_connected():
-        raise ValueError("expected a connected graph")
-    return blocks(g)
-
-
-def is_gdp_tree(g: Multigraph) -> bool:
-    """Every block is a complete graph or a cycle (any length)."""
-    return all(not isinstance(c, Other) for c in _block_shapes(g).classifications)
-
-
-def is_gallai_tree(g: Multigraph) -> bool:
-    """Every block is a complete graph or an odd cycle."""
-    for c in _block_shapes(g).classifications:
-        if isinstance(c, Other):
-            return False
-        if isinstance(c, CyclePower) and c.n % 2 == 0:
-            return False
-    return True
-
-
 def check_gdp_edge_bound(t: Multigraph, k: int) -> tuple[bool, Fraction]:
     """Slack of the GDP-tree edge bound: ((k-2) + 2/(k-1)) n - 2|E|, exact.
 
@@ -122,7 +99,11 @@ def check_gdp_edge_bound(t: Multigraph, k: int) -> tuple[bool, Fraction]:
     """
     if k < 4:
         raise ValueError("bound defined for k >= 4")
-    dec = _block_shapes(t)
+    if not t.is_simple():
+        raise ValueError("expected a simple graph")
+    if not t.is_connected():
+        raise ValueError("expected a connected graph")
+    dec = blocks(t)
     if any(isinstance(c, Other) for c in dec.classifications):
         raise GdpPrecondition("not-gdp-tree", "a block is neither complete nor a cycle")
     if t.max_degree() > k - 1:

@@ -8,6 +8,7 @@ is built later, on first use, so a graph used only as a cover base has none.
 
 from __future__ import annotations
 
+import heapq
 from typing import NamedTuple
 
 from .errors import CapExceeded, ParseError
@@ -144,15 +145,6 @@ class Multigraph:
 
     # -- derived graphs -------------------------------------------------------
 
-    def power(self, k: int) -> "Multigraph":
-        """Replace every edge with k parallel copies."""
-        if k < 1:
-            raise ValueError("power exponent must be at least 1")
-        return Multigraph(self.n, {p: k * m for p, m in self._mult.items()})
-
-    def underlying_simple(self) -> "Multigraph":
-        return Multigraph(self.n, {p: 1 for p in self._mult})
-
     def delete_single_edge(self, u: int, v: int) -> "Multigraph":
         """Remove one parallel edge between u and v."""
         key = (u, v) if u < v else (v, u)
@@ -191,20 +183,29 @@ class Multigraph:
     def degeneracy(self) -> int:
         """Smallest d such that every sub-multigraph has a vertex of degree <= d.
 
-        Computed by repeatedly deleting a minimum-degree vertex; degrees count
-        multiplicity.
+        Computed by repeatedly deleting a minimum-degree vertex (smallest-last
+        order; Matula and Beck, J. ACM 1983); degrees count multiplicity.  The
+        vertex comes from a heap of (degree, vertex) entries: a deletion pushes
+        each neighbor's lowered degree, and entries of deleted vertices or of
+        outdated degrees are skipped, so the run takes O((n + p) log n) for p
+        adjacent pairs.
         """
-        adj = self._adjacency()
-        deg = {v: self._deg[v] for v in self.vertices()}
-        alive = set(self.vertices())
+        adj, mult = self._adjacency(), self._mult
+        deg = list(self._deg)
+        heap = [(d, v) for v, d in enumerate(deg) if v]
+        heapq.heapify(heap)
+        deleted = [False] * (self.n + 1)
         best = 0
-        while alive:
-            v = min(alive, key=lambda x: (deg[x], x))
-            best = max(best, deg[v])
-            alive.remove(v)
+        while heap:
+            d, v = heapq.heappop(heap)
+            if deleted[v] or d != deg[v]:
+                continue
+            deleted[v] = True
+            best = max(best, d)
             for w in adj[v]:
-                if w in alive:
-                    deg[w] -= self.multiplicity(v, w)
+                if not deleted[w]:
+                    deg[w] -= mult[(v, w) if v < w else (w, v)]
+                    heapq.heappush(heap, (deg[w], w))
         return best
 
     # -- value semantics ------------------------------------------------------
@@ -367,15 +368,6 @@ def blocks(g: Multigraph) -> BlockDecomposition:
     found.sort(key=lambda block: block[0])
     vertex_sets, shapes = zip(*found)
     return BlockDecomposition(vertex_sets, tuple(sorted(cuts)), shapes)
-
-
-def classify_block(b: Multigraph):
-    """The classification blocks() gives b, which must be a single block;
-    a graph with a cut vertex or more than one component raises ValueError."""
-    dec = blocks(b)
-    if len(dec.blocks) != 1:
-        raise ValueError("not a block: it has a cut vertex or is disconnected")
-    return dec.classifications[0]
 
 
 # -- text format ----------------------------------------------------------------

@@ -6,13 +6,12 @@ Two engines live here:
   backtracking over vertices with minimum-remaining-domain ordering and
   forward pruning.  One walk over the cross edges both builds the per-color
   conflict masks and decides the cover conditions; only a cover that fails
-  it goes on to ``validate_cover``, which words the violation.
-  ``SolveResult.time`` spans that walk and the search.  The backtracking
-  runs on an explicit stack, so its depth is not limited by Python's
-  recursion limit, and the next vertex comes from a heap keyed by (domain
-  size, vertex), rebuilt whenever outdated entries make it longer than 4n.
-  Answers are exact: "uncolorable" always means the search space was
-  exhausted, never that a budget ran out (budget aborts raise).
+  it goes on to ``validate_cover``, which words the violation.  The
+  backtracking runs on an explicit stack, so its depth is not limited by
+  Python's recursion limit, and the next vertex comes from a heap keyed by
+  (domain size, vertex), rebuilt whenever outdated entries make it longer
+  than 4n.  Answers are exact: "uncolorable" always means the search space
+  was exhausted, never that a budget ran out (budget aborts raise).
 
 * ``find_uncolorable_cover`` searches for a cover with prescribed list sizes
   that admits no transversal at all.  Rather than enumerating covers and
@@ -51,7 +50,6 @@ handed to parallel workers.
 from __future__ import annotations
 
 import heapq
-import time
 from itertools import chain, compress, product
 from typing import NamedTuple
 
@@ -68,21 +66,6 @@ class SolveResult(NamedTuple):
     colorable: bool
     transversal: Transversal | None
     nodes_explored: int
-    time: float
-
-
-def check_transversal(cover: Cover, t) -> bool:
-    """True iff the transversal avoids every cross edge of the cover."""
-    choice = t.choice if isinstance(t, Transversal) else tuple(t)
-    if len(choice) != cover.base.n:
-        raise ValueError("transversal length does not match vertex count")
-    for v, idx in enumerate(choice, start=1):
-        if not 1 <= idx <= cover.size(v):
-            raise ValueError(f"color index {idx} out of range for vertex {v}")
-    for (u, v), edges in cover.cross.items():
-        if (choice[u - 1], choice[v - 1]) in edges:
-            return False
-    return True
 
 
 def _conflict_masks(cover: Cover):
@@ -117,7 +100,6 @@ def solve(cover: Cover, node_budget: int = NODE_BUDGET) -> SolveResult:
     vertex) and colors tried in index order.  Raises CoverInvalid for covers
     that fail validation and CapExceeded when the node budget runs out.
     """
-    start = time.perf_counter()
     nbr = _conflict_masks(cover)
     if nbr is None:
         raise CoverInvalid(str(validate_cover(cover)))
@@ -196,9 +178,8 @@ def solve(cover: Cover, node_budget: int = NODE_BUDGET) -> SolveResult:
                 break
         else:
             break
-    elapsed = time.perf_counter() - start
     t = Transversal(tuple(chosen)) if ok else None
-    return SolveResult(ok, t, nodes, elapsed)
+    return SolveResult(ok, t, nodes)
 
 
 # -- search for an uncolorable cover -------------------------------------------
@@ -292,8 +273,7 @@ def _spanning_forest(g: Multigraph, sizes):
             continue
         seen.add(root)
         queue = [root]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # grows as it is walked: FIFO order
             for w in g.neighbors(v):
                 if w in seen or sizes[w - 1] < sizes[v - 1]:
                     continue

@@ -11,6 +11,12 @@ import itertools
 from dpcolor import CompletePower, CyclePower, Multigraph, Other, permute_colors
 
 
+def is_transversal(cover, choice):
+    """True iff no cross edge of the cover joins two chosen colors."""
+    return all((choice[u - 1], choice[v - 1]) not in edges
+               for (u, v), edges in cover.cross.items())
+
+
 def brute_force_transversal(cover):
     """Scan the full choice product; return a surviving tuple or None."""
     sizes = cover.list_sizes
@@ -148,7 +154,7 @@ def brute_list_coloring(g, lists):
 
 
 def brute_chromatic_number(g):
-    simple = g.underlying_simple()
+    simple = Multigraph(g.n, {(u, v): 1 for u, v, _ in g.pairs()})
     for k in range(1, g.n + 1):
         if brute_list_coloring(simple, {v: range(k) for v in simple.vertices()}):
             return k
@@ -219,6 +225,11 @@ def brute_blocks(g):
                 shape = CyclePower(r, k)
         out.append((vs, shape))
     return sorted(out, key=lambda block: block[0])
+
+
+def is_gdp_tree(g):
+    """True iff every block of g is a complete graph or a cycle, by brute_blocks."""
+    return all(not isinstance(shape, Other) for _, shape in brute_blocks(g))
 
 
 def induced(g, vertices):

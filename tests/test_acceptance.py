@@ -12,8 +12,8 @@ from dpcolor import (Cover, Multigraph, blocks, build_bad_complete,
                      build_bad_cycle, canonical_key, check_bound_multigraph,
                      check_bound_simple, check_critical, connected_simple_graphs,
                      decide_degree_colorable, format_multigraph, gdp_trees,
-                     is_valid_cover, permute_colors, random_degree_cover,
-                     reduce_list, solve, validate_cover)
+                     permute_colors, random_degree_cover, reduce_list, solve,
+                     validate_cover)
 from dpcolor.census import _pairs_of
 from dpcolor.cli import main as cli_main
 from dpcolor.solver import find_uncolorable_cover
@@ -193,7 +193,7 @@ def test_c10_gauge_invariance():
         perms = {v: tuple(rng.sample(range(1, cover.size(v) + 1), cover.size(v)))
                  for v in g.vertices()}
         relabeled = permute_colors(cover, perms)
-        assert is_valid_cover(relabeled)
+        assert validate_cover(relabeled) is None
         assert solve(cover).colorable == solve(relabeled).colorable, \
             f"gauge changed status on trial {trial}: {g}"
     _report(10, "1000 random relabelings preserved solve status")

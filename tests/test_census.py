@@ -5,8 +5,8 @@ import pytest
 
 from dpcolor import (Multigraph, are_isomorphic, canonical_key,
                      connected_multigraphs, connected_simple_graphs,
-                     gdp_trees, is_gdp_tree)
-from oracles import brute_canonical_key
+                     gdp_trees)
+from oracles import brute_canonical_key, is_gdp_tree
 
 
 def test_simple_census_counts():

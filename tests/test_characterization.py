@@ -2,8 +2,8 @@ import random
 
 from dpcolor import (CompletePower, Cover, CyclePower, Multigraph, Other,
                      build_bad_complete, build_bad_cycle,
-                     decide_degree_colorable, degree_colorable_oracle,
-                     is_valid_cover, solve)
+                     decide_degree_colorable, degree_colorable_oracle, solve,
+                     validate_cover)
 from oracles import induced, random_connected_multigraph, random_multigraph
 
 
@@ -73,7 +73,7 @@ def test_componentwise_verdicts():
     assert verdict.components == (((1, 2, 3, 4), False), ((5, 6, 7), False))
     assert not verdict.colorable
     whole = verdict.witness
-    assert is_valid_cover(whole)
+    assert validate_cover(whole) is None
     assert whole.list_sizes == g.degrees()
     assert not solve(whole).colorable
 
@@ -113,7 +113,7 @@ def test_mixed_blocks_with_shuffled_cycle_labels():
     verdict = decide_degree_colorable(g)
     assert not verdict.colorable
     assert verdict.witness.list_sizes == g.degrees()
-    assert is_valid_cover(verdict.witness)
+    assert validate_cover(verdict.witness) is None
     assert not solve(verdict.witness).colorable
     doubled = Multigraph.from_edges(6, [(1, 2), (1, 3), (2, 3), (3, 5, 2),
                                         (5, 4, 2), (4, 6, 2), (3, 6, 2)])
@@ -131,7 +131,7 @@ def test_witnesses_sound_on_random_negatives():
         if verdict.colorable:
             continue
         checked += 1
-        assert is_valid_cover(verdict.witness)
+        assert validate_cover(verdict.witness) is None
         assert verdict.witness.list_sizes == g.degrees()
         assert not solve(verdict.witness).colorable
 
@@ -156,7 +156,7 @@ def test_components_agree_with_induced_subgraphs():
             continue
         negative += 1
         assert verdict.witness.list_sizes == g.degrees()
-        assert is_valid_cover(verdict.witness)
+        assert validate_cover(verdict.witness) is None
         assert not solve(verdict.witness).colorable
     assert min(disconnected, isolated, negative) >= 40
 

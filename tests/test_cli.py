@@ -469,6 +469,22 @@ def test_huge_list_size_is_refused(tmp_path, capsys):
     assert main(["validate", cov]) == 3
 
 
+@pytest.mark.parametrize("argv", [["chi-dp"], ["check-critical", "--k", "3"]],
+                         ids=["chi-dp", "check-critical"])
+def test_many_isolated_vertices_reach_the_space_cap_fast(tmp_path, argv):
+    # a triangle plus 99,997 isolated vertices: degeneracy, which chi_dp
+    # computes before its first search, must stay near linear in n for the
+    # transversal-space cap to refuse in time; a subprocess, so a hang fails
+    # at the timeout instead of stalling the suite
+    gra = write(tmp_path / "wide.graph", "100000\n1 2 1\n2 3 1\n1 3 1\n")
+    src = str(Path(dpcolor.cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "dpcolor.cli", argv[0], gra, *argv[1:]],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 3
+    assert "transversal space exceeds cap" in proc.stderr
+
+
 def test_import_leaves_out_dataclasses():
     # dataclasses pulls in inspect and ast, about 1 MB of resident memory in
     # every process that imports dpcolor

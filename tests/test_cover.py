@@ -9,9 +9,9 @@ import dpcolor.multigraph
 
 from dpcolor import (CapExceeded, Cover, Multigraph, ParseError,
                      build_bad_complete, build_bad_cycle, format_cover,
-                     is_valid_cover, iter_violations, parse_cover,
-                     permute_colors, product_reduction, random_degree_cover,
-                     reduce_list, solve, validate_cover)
+                     iter_violations, parse_cover, permute_colors,
+                     product_reduction, random_degree_cover, reduce_list,
+                     solve, validate_cover)
 from dpcolor.cover import MAX_LIST_SIZE
 from dpcolor.multigraph import MAX_VERTICES
 from oracles import brute_force_transversal, random_connected_multigraph
@@ -54,7 +54,7 @@ def test_reduce_list_matchings():
     assert disjoint.cross == {}
     crossed = reduce_list(k2, {1: ["a", "b", "c"], 2: ["c", "x", "a"]})
     assert crossed.cross == {(1, 2): ((1, 3), (3, 1))}
-    assert is_valid_cover(shared)
+    assert validate_cover(shared) is None
 
 
 def test_reduce_list_c4_two_colors_colorable():
@@ -88,7 +88,7 @@ def test_product_reduction():
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (2, 3)])
 def test_build_bad_complete_examples(n, k):
     cover = build_bad_complete(n, k)
-    assert is_valid_cover(cover)
+    assert validate_cover(cover) is None
     assert cover.list_sizes == (k * (n - 1),) * n
     assert brute_force_transversal(cover) is None
 
@@ -103,7 +103,7 @@ def test_build_bad_complete_rejects_small():
 @pytest.mark.parametrize("n,k", [(4, 1), (3, 1), (5, 2)])
 def test_build_bad_cycle_examples(n, k):
     cover = build_bad_cycle(n, k)
-    assert is_valid_cover(cover)
+    assert validate_cover(cover) is None
     assert cover.list_sizes == (2 * k,) * n
     assert brute_force_transversal(cover) is None
 
@@ -125,7 +125,7 @@ def test_permute_colors_round_trip():
     perms = {1: (2, 1), 3: (2, 1)}
     back = {1: (2, 1), 3: (2, 1)}
     assert permute_colors(permute_colors(cover, perms), back) == cover
-    assert is_valid_cover(permute_colors(cover, perms))
+    assert validate_cover(permute_colors(cover, perms)) is None
     with pytest.raises(ValueError):
         permute_colors(cover, {1: (1, 1)})
 
@@ -147,7 +147,7 @@ def test_random_degree_cover_seeded():
     c1 = random_degree_cover(g, random.Random(99))
     c2 = random_degree_cover(g, random.Random(99))
     assert c1 == c2
-    assert is_valid_cover(c1)
+    assert validate_cover(c1) is None
     assert c1.list_sizes == g.degrees()
 
 

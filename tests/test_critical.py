@@ -4,8 +4,7 @@ import pytest
 
 from dpcolor import (GdpPrecondition, Multigraph, check_bound_multigraph,
                      check_bound_simple, check_critical, check_gdp_edge_bound,
-                     gdp_trees, is_gallai_tree, is_gdp_tree,
-                     simple_critical_coefficient)
+                     gdp_trees, simple_critical_coefficient)
 from oracles import induced
 
 
@@ -91,24 +90,21 @@ def test_bound_simple():
 
 
 def test_is_gdp_tree():
-    assert is_gdp_tree(Multigraph.path(5))
+    # the GDP-tree precondition of check_gdp_edge_bound: every block complete
+    # or a cycle, on a connected simple graph
+    assert check_gdp_edge_bound(Multigraph.path(5), 6)[0]
     pendant_triangle = Multigraph.from_edges(6, [(1, 2), (1, 3), (1, 4), (2, 3),
                                                  (2, 4), (3, 4), (4, 5), (4, 6),
                                                  (5, 6)])
-    assert is_gdp_tree(pendant_triangle)
+    assert check_gdp_edge_bound(pendant_triangle, 6)[0]
     diamond = Multigraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
-    assert not is_gdp_tree(diamond)
-    with pytest.raises(ValueError):
-        is_gdp_tree(Multigraph(2))
-    with pytest.raises(ValueError):
-        is_gdp_tree(Multigraph.complete(2, 2))
-
-
-def test_is_gallai_tree():
-    assert is_gallai_tree(Multigraph.cycle(5))
-    assert not is_gallai_tree(Multigraph.cycle(6))
-    assert is_gallai_tree(Multigraph.complete(4))
-    assert is_gallai_tree(Multigraph.cycle(3))
+    with pytest.raises(GdpPrecondition) as exc:
+        check_gdp_edge_bound(diamond, 6)
+    assert exc.value.reason == "not-gdp-tree"
+    with pytest.raises(ValueError, match="connected"):
+        check_gdp_edge_bound(Multigraph(2), 6)
+    with pytest.raises(ValueError, match="simple"):
+        check_gdp_edge_bound(Multigraph.complete(2, 2), 6)
 
 
 def test_gdp_edge_bound_examples():

@@ -4,7 +4,7 @@ import pytest
 
 from dpcolor import (CapExceeded, CompletePower, CyclePower, Multigraph,
                      Other, ParseError,
-                     blocks, classify_block, format_cover, format_multigraph,
+                     blocks, format_cover, format_multigraph,
                      parse_cover, parse_multigraph, product_reduction, solve)
 from dpcolor.multigraph import MAX_VERTICES
 from oracles import (brute_blocks, brute_degeneracy, induced,
@@ -42,26 +42,6 @@ def test_handshake():
     for _ in range(50):
         g = random_connected_multigraph(rng, 6, 3)
         assert sum(g.degree(v) for v in g.vertices()) == 2 * g.edge_total()
-
-
-def test_power():
-    c4 = Multigraph.cycle(4)
-    assert c4.power(1) == c4
-    k2_tripled = Multigraph.complete(2).power(3)
-    assert k2_tripled.pairs() == [(1, 2, 3)]
-    c3_doubled = Multigraph.cycle(3).power(2)
-    assert all(c3_doubled.degree(v) == 4 for v in c3_doubled.vertices())
-    with pytest.raises(ValueError):
-        c4.power(0)
-
-
-def test_power_composes():
-    rng = random.Random(11)
-    for _ in range(20):
-        g = random_connected_multigraph(rng, 5, 2)
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
-                assert g.power(a).power(b) == g.power(a * b)
 
 
 def test_blocks_cycle():
@@ -122,21 +102,17 @@ def test_blocks_match_brute_force(witness_record):
 
 
 def test_classify_examples():
-    assert classify_block(Multigraph.complete(4, 3)) == CompletePower(4, 3)
-    assert classify_block(Multigraph.cycle(5, 2)) == CyclePower(5, 2)
+    def shapes(g):
+        return blocks(g).classifications
+
+    assert shapes(Multigraph.complete(4, 3)) == (CompletePower(4, 3),)
+    assert shapes(Multigraph.cycle(5, 2)) == (CyclePower(5, 2),)
     alternating = Multigraph(4, {(1, 2): 1, (2, 3): 2, (3, 4): 1, (1, 4): 2})
-    assert classify_block(alternating) == Other()
+    assert shapes(alternating) == (Other(),)
     # uniform triangle ties to the complete side, keeping cycles at n >= 4
-    assert classify_block(Multigraph.cycle(3, 2)) == CompletePower(3, 2)
-    assert classify_block(Multigraph(1)) == CompletePower(1, 1)
-    assert classify_block(Multigraph(2, {(1, 2): 5})) == CompletePower(2, 5)
-
-
-def test_classify_rejects_non_blocks():
-    with pytest.raises(ValueError):
-        classify_block(Multigraph.path(3))  # cut vertex
-    with pytest.raises(ValueError):
-        classify_block(Multigraph(2))  # disconnected
+    assert shapes(Multigraph.cycle(3, 2)) == (CompletePower(3, 2),)
+    assert shapes(Multigraph(1)) == (CompletePower(1, 1),)
+    assert shapes(Multigraph(2, {(1, 2): 5})) == (CompletePower(2, 5),)
 
 
 def test_degeneracy():

@@ -11,10 +11,9 @@ import pytest
 import dpcolor.solver
 from dpcolor import (CapExceeded, Cover, CoverInvalid,
                      InternalInvariantError, Multigraph,
-                     Transversal, build_bad_complete, build_bad_cycle,
-                     check_transversal, chi_dp, connected_multigraphs,
-                     degree_colorable_oracle,
-                     find_uncolorable_cover, is_valid_cover, parse_multigraph,
+                     build_bad_complete, build_bad_cycle,
+                     chi_dp, connected_multigraphs, degree_colorable_oracle,
+                     find_uncolorable_cover, parse_multigraph,
                      permute_colors, product_reduction, random_degree_cover,
                      solve, validate_cover)
 from dpcolor.solver import (MAX_MASK_BITS, MAX_ORACLE_TOTAL_DEGREE,
@@ -23,8 +22,8 @@ from dpcolor.solver import (MAX_MASK_BITS, MAX_ORACLE_TOTAL_DEGREE,
 from oracles import (brute_chromatic_number, brute_cover_count,
                      brute_force_transversal, brute_uncolorable_cover_exists,
                      degree_bounded_cell_sets, gauge_equivalent,
-                     is_union_of_maximum_matchings, maximal_cell_sets,
-                     random_connected_multigraph)
+                     is_transversal, is_union_of_maximum_matchings,
+                     maximal_cell_sets, random_connected_multigraph)
 
 DATA = Path(__file__).parent / "data"
 
@@ -35,14 +34,10 @@ def identity_cycle_cover(n, k):
 
 def test_check_transversal_examples():
     cover = identity_cycle_cover(4, 2)
-    assert check_transversal(cover, Transversal((1, 2, 1, 2)))
-    assert not check_transversal(cover, Transversal((1, 1, 1, 1)))
+    assert is_transversal(cover, (1, 2, 1, 2))
+    assert not is_transversal(cover, (1, 1, 1, 1))
     k1 = Cover(Multigraph(1), (1,), {})
-    assert check_transversal(k1, (1,))
-    with pytest.raises(ValueError):
-        check_transversal(cover, (1, 2, 1, 3))
-    with pytest.raises(ValueError):
-        check_transversal(cover, (1, 2, 1))
+    assert is_transversal(k1, (1,))
 
 
 def test_solve_bad_constructions_uncolorable():
@@ -63,7 +58,7 @@ def test_solve_surplus_color_colorable():
         enlarged = Cover(g, sizes, cover.cross)
         res = solve(enlarged)
         assert res.colorable
-        assert check_transversal(enlarged, res.transversal)
+        assert is_transversal(enlarged, res.transversal.choice)
 
 
 def test_solve_matches_brute_force():
@@ -75,7 +70,7 @@ def test_solve_matches_brute_force():
         brute = brute_force_transversal(cover)
         assert res.colorable == (brute is not None)
         if res.colorable:
-            assert check_transversal(cover, res.transversal)
+            assert is_transversal(cover, res.transversal.choice)
 
 
 def test_solve_deterministic():
@@ -105,7 +100,7 @@ def test_greedy_succeeds_with_surplus_everywhere():
         sizes = [s + 1 for s in cover.list_sizes]
         enlarged = Cover(g, sizes, cover.cross)
         res = solve(enlarged)
-        assert res.colorable and check_transversal(enlarged, res.transversal)
+        assert res.colorable and is_transversal(enlarged, res.transversal.choice)
 
 
 def test_chi_dp_examples():
@@ -152,7 +147,7 @@ def test_find_uncolorable_cover_properties():
     g = Multigraph.cycle(4)
     witness = find_uncolorable_cover(g, g.degrees())
     assert witness is not None
-    assert is_valid_cover(witness)
+    assert validate_cover(witness) is None
     assert witness.list_sizes == g.degrees()
     assert not solve(witness).colorable
     # deterministic
@@ -199,7 +194,7 @@ def test_find_uncolorable_cover_refuses_cell_masks_over_the_cap():
 def _assert_cannot_grow(cover):
     """Every pair keeps its bipartite degrees within its multiplicity and
     has no cell left that it could still take."""
-    assert is_valid_cover(cover)
+    assert validate_cover(cover) is None
     for u, v, m in cover.base.pairs():
         cells = set(cover.cross.get((u, v), ()))
         rows = Counter(i for i, _ in cells)
@@ -301,7 +296,6 @@ def test_gauge_invariance_of_solve():
 def test_solve_result_counts_and_time():
     res = solve(build_bad_cycle(4, 1))
     assert res.nodes_explored > 0
-    assert res.time >= 0.0
     assert res.transversal is None
 
 
@@ -362,7 +356,7 @@ def test_cover_search_matches_brute_force(max_n, max_mult, max_size, instances):
         assert (witness is not None) == expected, (g, sizes)
         answers.add(expected)
         if witness is not None:
-            assert is_valid_cover(witness)
+            assert validate_cover(witness) is None
             assert witness.list_sizes == sizes
             assert brute_force_transversal(witness) is None
     assert answers == {True, False}
@@ -511,7 +505,7 @@ def test_walk_agrees_with_validate_cover(kind):
         res = solve(cover)
         assert res.colorable == (brute_force_transversal(cover) is not None)
         if res.colorable:
-            assert check_transversal(cover, res.transversal)
+            assert is_transversal(cover, res.transversal.choice)
 
 
 @pytest.mark.parametrize("build,nodes,choice", [
