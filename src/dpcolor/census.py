@@ -6,8 +6,10 @@ all vertex relabelings, found row by row with cell refinement rather than by
 scanning the n! relabelings.  No external canonical-labeling dependency.
 
 One scan, ``_census``, generates both connected censuses; the simple-graph
-census is the multiplicity-1 census.  All three generators order their
-graphs by (n, total edges, canonical key).
+census is the multiplicity-1 census.  It runs over the multiplicity vectors
+in lexicographic order, the order of the canonical vectors too, so each
+representative it keeps is its class's canonical vector.  All three
+generators order their graphs by (n, total edges, canonical key).
 """
 
 from __future__ import annotations
@@ -29,29 +31,42 @@ def canonical_key(g: Multigraph) -> tuple:
     """(n, smallest multiplicity vector over all vertex relabelings).
 
     The vector lists multiplicities of the pairs (1, 2), (1, 3), ..., (n-1, n)
-    in that order, so it is the upper triangle read row by row, and it is
-    built one row at a time.  The vertices not yet labeled sit in an ordered
-    partition whose cells may be permuted freely.  Labeling x next makes its
-    row x's multiplicities to the rest, sorted within each cell; only the
-    candidates x from the first cell with the smallest row survive, and each
-    cell splits by multiplicity to x, in ascending order.  Later rows depend
-    on the remaining partition alone, so equal partitions are kept once.
+    in that order, so it is the upper triangle read row by row; see
+    _canonical_vector for how it is found.
+    """
+    n = g.n
+    mults = g.multiplicities()
+    top = max((k for _, k in mults), default=0)
+    rows = [[0] * (top + 1) for _ in range(n)]
+    for (u, v), k in mults:
+        rows[u - 1][k] |= 1 << (v - 1)
+        rows[v - 1][k] |= 1 << (u - 1)
+    return (n, _canonical_vector(rows))
+
+
+def _canonical_vector(rows) -> tuple:
+    """The smallest multiplicity vector of the graph whose vertex x (0-based)
+    has rows[x][k] as the bitmask of its neighbors by k edges; rows[x][0]
+    is 0 on entry and is filled in with the other vertices not joined to x.
+
+    The vector is built one row at a time.  The vertices not yet labeled
+    sit in an ordered partition whose cells may be permuted freely.
+    Labeling x next makes its row x's multiplicities to the rest, sorted
+    within each cell; only the candidates x from the first cell with the
+    smallest row survive, and each cell splits by multiplicity to x, in
+    ascending order.  Later rows depend on the remaining partition alone,
+    so equal partitions are kept once.
 
     Cells are vertex bitmasks, and a row is held as its runs, (value,
     -length) each.  All surviving partitions have the same cell sizes, so
     comparing runs orders rows as comparing the rows themselves.
     """
-    n = g.n
-    pairs = g.pairs()
-    top = max((k for _, _, k in pairs), default=0)
-    # by_mult[x][k]: the vertices other than x joined to x by k edges
-    by_mult = [[0] * (top + 1) for _ in range(n)]
-    for u, v, k in pairs:
-        by_mult[u - 1][k] |= 1 << (v - 1)
-        by_mult[v - 1][k] |= 1 << (u - 1)
+    n = len(rows)
     full = (1 << n) - 1
-    for x, masks in enumerate(by_mult):
+    for x, masks in enumerate(rows):
         masks[0] = full ^ (1 << x) ^ sum(masks)
+    # by_mult[x]: the (k, mask) entries of rows[x] with a vertex in the mask
+    by_mult = [[(k, mask) for k, mask in enumerate(masks) if mask] for masks in rows]
     vec = []
     partitions = [(full,)]
     for _ in range(n - 1):
@@ -61,10 +76,11 @@ def canonical_key(g: Multigraph) -> tuple:
             while first:
                 x = (first & -first).bit_length() - 1
                 first &= first - 1
+                row = by_mult[x]
                 runs = []
                 split = []
                 for cell in cells:
-                    for k, mask in enumerate(by_mult[x]):
+                    for k, mask in row:
                         part = cell & mask
                         if part:
                             runs += (k, -part.bit_count())
@@ -76,7 +92,7 @@ def canonical_key(g: Multigraph) -> tuple:
         for k, length in zip(best[::2], best[1::2]):
             vec += [k] * -length
         partitions = survivors
-    return (n, tuple(vec))
+    return tuple(vec)
 
 
 def are_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
@@ -87,9 +103,11 @@ def are_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:
 def _census(max_n: int, max_mult: int, min_degree: int = 0):
     """Connected multigraphs on at most max_n vertices with multiplicities at
     most max_mult and every degree at least min_degree, one representative
-    per isomorphism class: the first multiplicity vector over _pairs_of(n),
-    in product order, that has the class's canonical key.
+    per isomorphism class: its canonical vector over _pairs_of(n).
 
+    Product order is lexicographic, and a canonical vector is the
+    lexicographically smallest of its class in the same pair order, so the
+    first vector of each class that the scan meets is its canonical vector.
     A vector whose degrees fall short is skipped before any graph is built.
     """
     found = {}
@@ -132,8 +150,11 @@ def connected_simple_graphs(max_n: int, min_degree: int = 0):
     the multiplicity-1 census, in the same order.
 
     min_degree prunes during generation (useful when hunting critical
-    graphs, whose minimum degree is forced).
+    graphs, whose minimum degree is forced).  max_n is at most 7: the scan
+    runs over 2^(n(n - 1)/2) vectors on n vertices, 2^28 at n = 8.
     """
+    if max_n > 7:
+        raise ValueError("simple-graph census supported up to 7 vertices")
     return _census(max_n, 1, min_degree)
 
 

@@ -108,6 +108,11 @@ class Multigraph:
         """Sorted (u, v, k) triples with u < v and k >= 1."""
         return [(u, v, k) for (u, v), k in sorted(self._mult.items())]
 
+    def multiplicities(self):
+        """Read-only view of the ((u, v), k) entries, u < v and k >= 1, in
+        no fixed order; cheaper than pairs() where order does not matter."""
+        return self._mult.items()
+
     def neighbors(self, v: int) -> tuple:
         self._check_vertex(v)
         return self._adjacency()[v]
@@ -178,7 +183,19 @@ class Multigraph:
         return comps
 
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        """One sweep over the pairs, joining the sets of their ends
+        (union-find with path halving); connected iff n - 1 joins happen."""
+        parent = list(range(self.n + 1))
+        joins = 0
+        for u, v in self._mult:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                joins += 1
+        return joins == self.n - 1
 
     def degeneracy(self) -> int:
         """Smallest d such that every sub-multigraph has a vertex of degree <= d.

@@ -388,10 +388,11 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
             cover.append(acc)
         # fail-first: find the transversals of S the fewest pairs can block;
         # at_least[p] holds those that pairs 0..p-1 can block `level` times
-        # or more
+        # or more.  Each level costs P steps, so past the first few levels
+        # the counts are summed once instead, bit-sliced: digit d of every
+        # transversal's count sits in planes[d]
         at_least = [S] * (P + 1)
-        level = 0
-        while True:
+        for level in range(P.bit_length() + 1):
             nxt = [0]
             for p in range(P):
                 nxt.append(nxt[p] | (at_least[p] & cover[p]))
@@ -399,7 +400,20 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
             if fewest:
                 break
             at_least = nxt
-            level += 1
+        else:
+            planes = []
+            for carry in cover:
+                for d, plane in enumerate(planes):
+                    planes[d] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    planes.append(carry)
+            fewest = S  # the smallest counts, digit by digit from the top
+            for plane in reversed(planes):
+                if fewest & ~plane:
+                    fewest &= ~plane
         if level == 0:
             return []  # some transversal of S can never be blocked
         # each pair reaches at least its largest kill count; the exact reach

@@ -174,6 +174,20 @@ def brute_degeneracy(g):
     return best
 
 
+def brute_is_connected(g):
+    """True iff every vertex is reached from vertex 1, relaxing over all the
+    pairs until nothing changes."""
+    reached = {1}
+    grew = True
+    while grew:
+        grew = False
+        for u, v, _ in g.pairs():
+            if (u in reached) != (v in reached):
+                reached |= {u, v}
+                grew = True
+    return len(reached) == g.n
+
+
 def brute_blocks(g):
     """(vertex tuple, shape) per block of g, sorted, found by definition.
 

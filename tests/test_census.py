@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+import dpcolor.census
 from dpcolor import (Multigraph, are_isomorphic, canonical_key,
                      connected_multigraphs, connected_simple_graphs,
                      gdp_trees)
+from dpcolor.census import _pairs_of
 from oracles import brute_canonical_key, is_gdp_tree
 
 
@@ -68,6 +70,16 @@ def test_censuses_share_one_order(simple6):
     for graphs in (simple6, connected_multigraphs(4, 2),
                    gdp_trees(7, max_complete_block=3, max_degree=3)):
         assert graphs == sorted(graphs, key=_census_order)
+
+
+def test_representatives_are_their_canonical_vectors(simple6):
+    # product order is lexicographic over the key's pair order, so the first
+    # vector of a class, the one the census keeps, is its canonical vector
+    censuses = [connected_multigraphs(4, 2), connected_multigraphs(4, 3),
+                connected_multigraphs(5, 1), simple6, connected_simple_graphs(6, 3)]
+    for g in itertools.chain(*censuses):
+        vec = tuple(g.multiplicity(u, v) for u, v in _pairs_of(g.n))
+        assert vec == canonical_key(g)[1], g.pairs()
 
 
 def test_are_isomorphic():
@@ -137,6 +149,16 @@ def test_gdp_trees_deterministic():
 def test_multigraph_census_cap():
     with pytest.raises(ValueError):
         connected_multigraphs(7, 1)
+
+
+def test_simple_census_cap_refuses_before_any_scan(monkeypatch):
+    # at 8 vertices the scan would run over 2^28 vectors
+    def scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(dpcolor.census, "_census", scan)
+    with pytest.raises(ValueError, match="^simple-graph census supported up to 7 vertices$"):
+        connected_simple_graphs(8, min_degree=3)
 
 
 def test_multigraph_census_refuses_a_negative_multiplicity():

@@ -485,6 +485,23 @@ def test_many_isolated_vertices_reach_the_space_cap_fast(tmp_path, argv):
     assert "transversal space exceeds cap" in proc.stderr
 
 
+def test_check_critical_on_a_long_path_is_fast(tmp_path):
+    # deleting an edge leaves 19,998 pairs that can all block the one
+    # transversal of the 1-lists: picking the target must not cost a pass
+    # over the pairs for each of those counts; a subprocess, so a hang
+    # fails at the timeout
+    n = 20_000
+    gra = write(tmp_path / "path.graph",
+                f"{n}\n" + "".join(f"{v} {v + 1} 1\n" for v in range(1, n)))
+    src = str(Path(dpcolor.cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "dpcolor.cli", "--format", "lines",
+                           "check-critical", gra, "--k", "2"],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "not-critical 2 19998/1 edge:1:2\n", "")
+
+
 def test_import_leaves_out_dataclasses():
     # dataclasses pulls in inspect and ast, about 1 MB of resident memory in
     # every process that imports dpcolor

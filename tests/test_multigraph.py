@@ -7,8 +7,8 @@ from dpcolor import (CapExceeded, CompletePower, CyclePower, Multigraph,
                      blocks, format_cover, format_multigraph,
                      parse_cover, parse_multigraph, product_reduction, solve)
 from dpcolor.multigraph import MAX_VERTICES
-from oracles import (brute_blocks, brute_degeneracy, induced,
-                     random_connected_multigraph)
+from oracles import (brute_blocks, brute_degeneracy, brute_is_connected, induced,
+                     random_connected_multigraph, random_multigraph)
 
 
 def test_no_loops_or_bad_vertices():
@@ -42,6 +42,20 @@ def test_handshake():
     for _ in range(50):
         g = random_connected_multigraph(rng, 6, 3)
         assert sum(g.degree(v) for v in g.vertices()) == 2 * g.edge_total()
+
+
+def test_is_connected_matches_reachability():
+    rng = random.Random(17)
+    graphs = [Multigraph(1), Multigraph(2), Multigraph(3, {(1, 2): 2}),
+              Multigraph(4, {(1, 2): 1, (3, 4): 3}), Multigraph(4, {(2, 4): 1, (1, 3): 1}),
+              Multigraph.path(5), Multigraph(5, {(1, 5): 1, (2, 5): 1, (3, 4): 1})]
+    graphs += [random_multigraph(rng, 8, 3) for _ in range(400)]
+    assert any(g.n == 1 for g in graphs[7:])
+    assert any(0 in g.degrees() for g in graphs[7:] if g.n > 1)
+    answers = [g.is_connected() for g in graphs]
+    assert answers == [brute_is_connected(g) for g in graphs]
+    assert answers[:7] == [True, False, False, False, False, True, False]
+    assert 50 < answers.count(False) < 350
 
 
 def test_blocks_cycle():
