@@ -31,42 +31,31 @@ def canonical_key(g: Multigraph) -> tuple:
     """(n, smallest multiplicity vector over all vertex relabelings).
 
     The vector lists multiplicities of the pairs (1, 2), (1, 3), ..., (n-1, n)
-    in that order, so it is the upper triangle read row by row; see
-    _canonical_vector for how it is found.
-    """
-    n = g.n
-    mults = g.multiplicities()
-    top = max((k for _, k in mults), default=0)
-    rows = [[0] * (top + 1) for _ in range(n)]
-    for (u, v), k in mults:
-        rows[u - 1][k] |= 1 << (v - 1)
-        rows[v - 1][k] |= 1 << (u - 1)
-    return (n, _canonical_vector(rows))
-
-
-def _canonical_vector(rows) -> tuple:
-    """The smallest multiplicity vector of the graph whose vertex x (0-based)
-    has rows[x][k] as the bitmask of its neighbors by k edges; rows[x][0]
-    is 0 on entry and is filled in with the other vertices not joined to x.
-
-    The vector is built one row at a time.  The vertices not yet labeled
-    sit in an ordered partition whose cells may be permuted freely.
-    Labeling x next makes its row x's multiplicities to the rest, sorted
-    within each cell; only the candidates x from the first cell with the
-    smallest row survive, and each cell splits by multiplicity to x, in
-    ascending order.  Later rows depend on the remaining partition alone,
-    so equal partitions are kept once.
+    in that order, so it is the upper triangle read row by row, and it is
+    built one row at a time.  The vertices not yet labeled sit in an ordered
+    partition whose cells may be permuted freely.  Labeling x next makes its
+    row x's multiplicities to the rest, sorted within each cell; only the
+    candidates x from the first cell with the smallest row survive, and each
+    cell splits by multiplicity to x, in ascending order.  Later rows depend
+    on the remaining partition alone, so equal partitions are kept once.
 
     Cells are vertex bitmasks, and a row is held as its runs, (value,
     -length) each.  All surviving partitions have the same cell sizes, so
     comparing runs orders rows as comparing the rows themselves.
     """
-    n = len(rows)
+    n = g.n
+    mults = g.multiplicities()
+    top = max((k for _, k in mults), default=0)
+    # masks[x][k]: the vertices other than x joined to x by k edges
+    masks = [[0] * (top + 1) for _ in range(n)]
+    for (u, v), k in mults:
+        masks[u - 1][k] |= 1 << (v - 1)
+        masks[v - 1][k] |= 1 << (u - 1)
     full = (1 << n) - 1
-    for x, masks in enumerate(rows):
-        masks[0] = full ^ (1 << x) ^ sum(masks)
-    # by_mult[x]: the (k, mask) entries of rows[x] with a vertex in the mask
-    by_mult = [[(k, mask) for k, mask in enumerate(masks) if mask] for masks in rows]
+    for x, row in enumerate(masks):
+        row[0] = full ^ (1 << x) ^ sum(row)
+    # by_mult[x]: the (k, mask) entries of masks[x] with a vertex in the mask
+    by_mult = [[(k, mask) for k, mask in enumerate(row) if mask] for row in masks]
     vec = []
     partitions = [(full,)]
     for _ in range(n - 1):
@@ -92,7 +81,7 @@ def _canonical_vector(rows) -> tuple:
         for k, length in zip(best[::2], best[1::2]):
             vec += [k] * -length
         partitions = survivors
-    return tuple(vec)
+    return (n, tuple(vec))
 
 
 def are_isomorphic(g1: Multigraph, g2: Multigraph) -> bool:

@@ -390,7 +390,8 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
         # at_least[p] holds those that pairs 0..p-1 can block `level` times
         # or more.  Each level costs P steps, so past the first few levels
         # the counts are summed once instead, bit-sliced: digit d of every
-        # transversal's count sits in planes[d]
+        # transversal's count sits in planes[d].  The sum costs more than
+        # the loop while the fewest count is small, as it is at most nodes
         at_least = [S] * (P + 1)
         for level in range(P.bit_length() + 1):
             nxt = [0]
