@@ -170,17 +170,11 @@ def gdp_trees(max_n: int, max_complete_block: int, max_degree: int):
         extra = size - 1
         if g.n + extra > max_n:
             return None
-        added = list(range(g.n + 1, g.n + extra + 1))
-        ring = [v] + added
-        mult = {(u, w): m for u, w, m in g.pairs()}
-        if kind == "complete":
-            for a, b in itertools.combinations(ring, 2):
-                mult[(a, b) if a < b else (b, a)] = 1
-        else:
-            for a, b in zip(ring, ring[1:]):
-                mult[(a, b) if a < b else (b, a)] = 1
-            a, b = ring[0], ring[-1]
-            mult[(a, b) if a < b else (b, a)] = 1
+        ring = [v, *range(g.n + 1, g.n + extra + 1)]
+        new = (itertools.combinations(ring, 2) if kind == "complete"
+               else zip(ring, ring[1:] + ring[:1]))
+        mult = dict(g.multiplicities())
+        mult.update(dict.fromkeys(new, 1))  # Multigraph orders (last, v), a new pair
         g2 = Multigraph(g.n + extra, mult)
         if g2.max_degree() > max_degree:
             return None

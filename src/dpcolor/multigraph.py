@@ -161,30 +161,10 @@ class Multigraph:
 
     # -- connectivity ---------------------------------------------------------
 
-    def components(self):
-        """Connected components as sorted vertex tuples, ordered by minimum."""
-        adj = self._adjacency()
-        seen = set()
-        comps = []
-        for start in self.vertices():
-            if start in seen:
-                continue
-            stack = [start]
-            comp = {start}
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return comps
-
-    def is_connected(self) -> bool:
-        """One sweep over the pairs, joining the sets of their ends
-        (union-find with path halving); connected iff n - 1 joins happen."""
+    def _roots(self):
+        """(parent, joins) from one union-find sweep over the pairs, with path
+        halving: parent leads each vertex to its component's root, and the
+        graph is connected iff n - 1 joins happen."""
         parent = list(range(self.n + 1))
         joins = 0
         for u, v in self._mult:
@@ -195,7 +175,22 @@ class Multigraph:
             if u != v:
                 parent[u] = v
                 joins += 1
-        return joins == self.n - 1
+        return parent, joins
+
+    def components(self):
+        """Connected components as sorted vertex tuples, ordered by minimum:
+        the vertices grouped by root, in ascending order."""
+        parent, _ = self._roots()
+        comps = {}
+        for v in self.vertices():
+            r = v
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            comps.setdefault(r, []).append(v)
+        return [tuple(comp) for comp in comps.values()]
+
+    def is_connected(self) -> bool:
+        return self._roots()[1] == self.n - 1
 
     def degeneracy(self) -> int:
         """Smallest d such that every sub-multigraph has a vertex of degree <= d.

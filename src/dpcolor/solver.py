@@ -283,8 +283,32 @@ def _spanning_forest(g: Multigraph, sizes):
     return tree
 
 
+def _fewest(S, cover):
+    """(set, count): the bits of S that the fewest masks in cover hold, and
+    how many hold them.  The counts are summed bit-sliced, digit d of every
+    count in planes[d], and the smallest read off digit by digit from the top.
+    """
+    planes = []
+    for carry in cover:
+        for d, plane in enumerate(planes):
+            planes[d] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    fewest, count = S, 0
+    for d in range(len(planes) - 1, -1, -1):
+        rest = fewest & ~planes[d]
+        if rest:
+            fewest = rest
+        else:
+            count |= 1 << d
+    return fewest, count
+
+
 def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
-    """Core complete search; returns {pair: set of cells} or None.
+    """Core complete search; returns {pair: cells taken} or None.
 
     The surviving-transversal set lives in one big integer, bit b standing
     for the transversal with mixed-radix index b; each cell owns a fixed
@@ -326,14 +350,12 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
 
     rowdeg = [[0] * (sizes[u - 1] + 1) for u in pu]
     coldeg = [[0] * (sizes[v - 1] + 1) for v in pv]
-    taken = [set() for _ in range(P)]
     closed = [bytearray(len(cs)) for cs in cells]  # taken or banned: not addable
     S = (1 << space) - 1
     for p, k in fixed:
         _, i, j, mask = cells[p][k]
         rowdeg[p][i] += 1
         coldeg[p][j] += 1
-        taken[p].add((i, j))
         closed[p][k] = 1
         S &= ~mask
     nodes = 0
@@ -354,7 +376,7 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
         b, m = width[p], pm[p]
         if not b:
             return sum(mus)
-        free = capacity[p] - len(taken[p])
+        free = capacity[p] - sum(rowdeg[p])
         best = sum(sorted(mus, reverse=True)[:free])
         for lines, deg in (([mus[k:k + b] for k in range(0, len(mus), b)], rowdeg[p]),
                            ([mus[j::b] for j in range(b)], coldeg[p])):
@@ -386,36 +408,8 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
                 acc |= mask
             lives.append(mus)
             cover.append(acc)
-        # fail-first: find the transversals of S the fewest pairs can block;
-        # at_least[p] holds those that pairs 0..p-1 can block `level` times
-        # or more.  Each level costs P steps, so past the first few levels
-        # the counts are summed once instead, bit-sliced: digit d of every
-        # transversal's count sits in planes[d].  The sum costs more than
-        # the loop while the fewest count is small, as it is at most nodes
-        at_least = [S] * (P + 1)
-        for level in range(P.bit_length() + 1):
-            nxt = [0]
-            for p in range(P):
-                nxt.append(nxt[p] | (at_least[p] & cover[p]))
-            fewest = at_least[P] & ~nxt[P]
-            if fewest:
-                break
-            at_least = nxt
-        else:
-            planes = []
-            for carry in cover:
-                for d, plane in enumerate(planes):
-                    planes[d] = plane ^ carry
-                    carry &= plane
-                    if not carry:
-                        break
-                else:
-                    planes.append(carry)
-            fewest = S  # the smallest counts, digit by digit from the top
-            for plane in reversed(planes):
-                if fewest & ~plane:
-                    fewest &= ~plane
-        if level == 0:
+        fewest, count = _fewest(S, cover)  # fail-first: fewest pairs can block
+        if not count:
             return []  # some transversal of S can never be blocked
         # each pair reaches at least its largest kill count; the exact reach
         # is summed in pair by pair only while the total falls short
@@ -443,15 +437,19 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
         opts.sort()
         return opts
 
-    # one frame [survivors, branches, next branch] per node on the path; a
-    # branch tried stays closed to its later siblings until its node is done
+    # one frame [survivors, branches, next branch] per node on the path, so
+    # the frames hold the path's cells; a branch tried stays closed to its
+    # later siblings until its node is done
     frames = []
     while True:
         nodes += 1
         if nodes > node_budget:
             raise CapExceeded(f"cover search exceeded node budget {node_budget}")
-        if S == 0:
-            return {(pu[p], pv[p]): set(taken[p]) for p in range(P)}
+        if S == 0:  # the gauge's cells, then each frame's current branch
+            chosen = {}
+            for p, k in chain(fixed, (opts[idx - 1][1:] for _, opts, idx in frames)):
+                chosen.setdefault((pu[p], pv[p]), []).append(cells[p][k][1:3])
+            return chosen
         frames.append([S, branches(S), 0])
         while frames:
             frame = frames[-1]
@@ -459,7 +457,6 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
             if idx:  # take back the cell of the branch just explored
                 _, p, k = opts[idx - 1]
                 _, i, j, _ = cells[p][k]
-                taken[p].remove((i, j))
                 rowdeg[p][i] -= 1
                 coldeg[p][j] -= 1
             if idx == len(opts):
@@ -472,7 +469,6 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
             _, i, j, mask = cells[p][k]
             rowdeg[p][i] += 1
             coldeg[p][j] += 1
-            taken[p].add((i, j))
             closed[p][k] = 1
             S &= ~mask
             break

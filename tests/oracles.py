@@ -132,6 +132,15 @@ def brute_count_transversals(cover):
     return count
 
 
+def brute_fewest(S, masks):
+    """(set, count): the bits of S set in the fewest of masks, as an int,
+    and that count, by counting each bit of S (S != 0) over every mask."""
+    counts = {b: sum(mask >> b & 1 for mask in masks)
+              for b in range(S.bit_length()) if S >> b & 1}
+    low = min(counts.values())
+    return sum(1 << b for b, c in counts.items() if c == low), low
+
+
 def brute_list_coloring(g, lists):
     """Direct list-coloring backtracker over actual color values."""
     vs = list(g.vertices())
@@ -174,18 +183,25 @@ def brute_degeneracy(g):
     return best
 
 
-def brute_is_connected(g):
-    """True iff every vertex is reached from vertex 1, relaxing over all the
-    pairs until nothing changes."""
-    reached = {1}
-    grew = True
-    while grew:
-        grew = False
-        for u, v, _ in g.pairs():
-            if (u in reached) != (v in reached):
-                reached |= {u, v}
-                grew = True
-    return len(reached) == g.n
+def brute_components(g):
+    """The vertices reached from each vertex not reached before, relaxing
+    over all the pairs until nothing changes, as sorted tuples in order of
+    their smallest vertex."""
+    comps, seen = [], set()
+    for start in g.vertices():
+        if start in seen:
+            continue
+        reached = {start}
+        grew = True
+        while grew:
+            grew = False
+            for u, v, _ in g.pairs():
+                if (u in reached) != (v in reached):
+                    reached |= {u, v}
+                    grew = True
+        seen |= reached
+        comps.append(tuple(sorted(reached)))
+    return comps
 
 
 def brute_blocks(g):

@@ -7,7 +7,7 @@ from dpcolor import (CapExceeded, CompletePower, CyclePower, Multigraph,
                      blocks, format_cover, format_multigraph,
                      parse_cover, parse_multigraph, product_reduction, solve)
 from dpcolor.multigraph import MAX_VERTICES
-from oracles import (brute_blocks, brute_degeneracy, brute_is_connected, induced,
+from oracles import (brute_blocks, brute_components, brute_degeneracy, induced,
                      random_connected_multigraph, random_multigraph)
 
 
@@ -53,7 +53,9 @@ def test_is_connected_matches_reachability():
     assert any(g.n == 1 for g in graphs[7:])
     assert any(0 in g.degrees() for g in graphs[7:] if g.n > 1)
     answers = [g.is_connected() for g in graphs]
-    assert answers == [brute_is_connected(g) for g in graphs]
+    comps = [brute_components(g) for g in graphs]
+    assert answers == [len(c) == 1 for c in comps]
+    assert [g.components() for g in graphs] == comps
     assert answers[:7] == [True, False, False, False, False, True, False]
     assert 50 < answers.count(False) < 350
 

@@ -18,8 +18,8 @@ from dpcolor import (CapExceeded, Cover, CoverInvalid,
                      solve, validate_cover)
 from dpcolor.solver import (MAX_MASK_BITS, MAX_ORACLE_TOTAL_DEGREE,
                             MAX_TRANSVERSAL_SPACE, _class_masks,
-                            _complete_to_maximal, _spanning_forest)
-from oracles import (brute_chromatic_number, brute_cover_count,
+                            _complete_to_maximal, _fewest, _spanning_forest)
+from oracles import (brute_chromatic_number, brute_cover_count, brute_fewest,
                      brute_force_transversal, brute_uncolorable_cover_exists,
                      degree_bounded_cell_sets, gauge_equivalent,
                      is_transversal, is_union_of_maximum_matchings,
@@ -333,6 +333,35 @@ def test_class_masks_match_product_definition(sizes):
         for v, c in enumerate(t, start=1):
             want[v][c - 1] |= 1 << b
     assert _class_masks(sizes) == want
+
+
+def test_fewest_matches_per_bit_counts():
+    """The fail-first target: the bits of S that the fewest coverage masks
+    hold, and how many hold them, against counting bit by bit."""
+    rng = random.Random(1609)
+
+    def coverage(bits, density):  # a bit is set with probability 1/4, 1/2 or 7/8
+        a, b, c = (rng.getrandbits(bits) for _ in range(3))
+        return (a & b, a, a | b | c)[density]
+
+    inputs = []
+    for _ in range(150):
+        bits = rng.randint(1, 200)
+        S = rng.getrandbits(bits) | 1 << (bits - 1)
+        density = rng.randrange(3)
+        inputs.append((S, [coverage(bits, density) for _ in range(rng.randint(0, 64))]))
+    for pairs in (1, 2, 3, 7, 8, 63, 64):  # every coverage equal: count P
+        mask = rng.getrandbits(150)
+        inputs.append((mask, [mask] * pairs))
+        inputs.append((mask | 1 << 150, [mask] * pairs))  # one bit held by none
+    counts = Counter()
+    for S, masks in inputs:
+        want = brute_fewest(S, masks)
+        assert _fewest(S, masks) == want, (S, masks)
+        counts[want[1] == 0, want[1] == len(masks)] += 1
+    # (some bit held by none, every bit held by all): both shapes and neither
+    assert counts[True, False] >= 10 and counts[False, True] >= 7
+    assert counts[False, False] >= 100
 
 
 @pytest.mark.parametrize("max_n,max_mult,max_size,instances", [
