@@ -8,7 +8,8 @@ bug rather than a shared one.
 import functools
 import itertools
 
-from dpcolor import CompletePower, CyclePower, Multigraph, Other, permute_colors
+from dpcolor import (CompletePower, CyclePower, Multigraph, Other, canonical_key,
+                     permute_colors)
 
 
 def is_transversal(cover, choice):
@@ -119,6 +120,21 @@ def brute_canonical_key(g):
         if best is None or t < best:
             best = t
     return (n, best)
+
+
+def brute_census(max_n, max_mult, min_degree=0):
+    """Connected multigraphs on at most max_n vertices, multiplicities at
+    most max_mult and every degree at least min_degree, by a product scan
+    that builds every vector's Multigraph and keeps the first graph of each
+    canonical_key; ordered by (n, total edges, canonical key)."""
+    found = {}
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for vec in itertools.product(range(max_mult + 1), repeat=len(pairs)):
+            g = Multigraph(n, {p: m for p, m in zip(pairs, vec) if m})
+            if g.is_connected() and min(g.degrees()) >= min_degree:
+                found.setdefault(canonical_key(g), g)
+    return [found[k] for k in sorted(found, key=lambda k: (k[0], sum(k[1]), k))]
 
 
 def brute_count_transversals(cover):

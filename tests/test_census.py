@@ -4,11 +4,11 @@ import random
 import pytest
 
 import dpcolor.census
-from dpcolor import (Multigraph, are_isomorphic, canonical_key,
+from dpcolor import (CapExceeded, Multigraph, are_isomorphic, canonical_key,
                      connected_multigraphs, connected_simple_graphs,
                      gdp_trees)
-from dpcolor.census import _pairs_of
-from oracles import brute_canonical_key, is_gdp_tree
+from dpcolor.census import MAX_CENSUS_VECTORS, _census, _pairs_of
+from oracles import brute_canonical_key, brute_census, is_gdp_tree
 
 
 def test_simple_census_counts():
@@ -73,13 +73,36 @@ def test_censuses_share_one_order(simple6):
 
 
 def test_representatives_are_their_canonical_vectors(simple6):
-    # product order is lexicographic over the key's pair order, so the first
-    # vector of a class, the one the census keeps, is its canonical vector
+    # the census keeps a vector exactly when _canonical_vector of its masks
+    # returns it, so each representative is its class's canonical vector
     censuses = [connected_multigraphs(4, 2), connected_multigraphs(4, 3),
                 connected_multigraphs(5, 1), simple6, connected_simple_graphs(6, 3)]
     for g in itertools.chain(*censuses):
         vec = tuple(g.multiplicity(u, v) for u, v in _pairs_of(g.n))
         assert vec == canonical_key(g)[1], g.pairs()
+
+
+@pytest.mark.parametrize("max_n, max_mult, min_degree",
+                         [(4, 2, 0), (4, 3, 0), (5, 1, 0), (6, 1, 0),
+                          (6, 1, 1), (6, 1, 2), (6, 1, 3)])
+def test_row_scan_matches_the_product_scan(max_n, max_mult, min_degree):
+    # same graphs, same labels, same order as a Multigraph per vector
+    assert _census(max_n, max_mult, min_degree) == brute_census(max_n, max_mult, min_degree)
+
+
+def test_census_builds_one_multigraph_per_class(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Multigraph(*args)
+
+    monkeypatch.setattr(dpcolor.census, "Multigraph", counted)
+    for census in (lambda: connected_multigraphs(4, 2),
+                   lambda: connected_simple_graphs(6, min_degree=2)):
+        built.clear()
+        graphs = census()
+        assert len(built) == len(graphs)
 
 
 def test_are_isomorphic():
@@ -159,6 +182,21 @@ def test_simple_census_cap_refuses_before_any_scan(monkeypatch):
     monkeypatch.setattr(dpcolor.census, "_census", scan)
     with pytest.raises(ValueError, match="^simple-graph census supported up to 7 vertices$"):
         connected_simple_graphs(8, min_degree=3)
+
+
+def test_census_vector_cap_refuses_before_any_scan(monkeypatch):
+    # connected_multigraphs(4, 1000) would scan 1001^6 vectors on 4 vertices
+    def scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(dpcolor.census, "_pairs_of", scan)
+    for max_n, max_mult in ((4, 1000), (2, 100_000_000), (6, 2)):
+        with pytest.raises(CapExceeded,
+                           match=f"^census vector count exceeds cap {MAX_CENSUS_VECTORS}$"):
+            connected_multigraphs(max_n, max_mult)
+    # the 7-vertex simple census, 2,131,019 vectors, is admitted
+    with pytest.raises(AssertionError, match="^scan started$"):
+        connected_simple_graphs(7, min_degree=3)
 
 
 def test_multigraph_census_refuses_a_negative_multiplicity():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import dpcolor.cover
 import dpcolor.solver
 from dpcolor import (Multigraph, build_bad_complete, format_cover,
                      format_multigraph, parse_cover, product_reduction, solve)
+from dpcolor.census import MAX_CENSUS_VECTORS
 from dpcolor.cli import main
 from dpcolor.cover import MAX_LIST_SIZE
 
@@ -500,6 +502,21 @@ def test_check_critical_on_a_long_path_is_fast(tmp_path):
                           env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "not-critical 2 19998/1 edge:1:2\n", "")
+
+
+@pytest.mark.parametrize("max_n, max_mult", [(4, 1000), (2, 100_000_000)])
+def test_cli_refuses_an_oversized_census_fast(max_n, max_mult):
+    # a subprocess, so a scan that starts fails at the timeout instead of
+    # stalling the suite
+    src = str(Path(dpcolor.cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "dpcolor.cli", "census",
+            "--max-n", str(max_n), "--max-mult", str(max_mult)]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"resource cap: census vector count exceeds cap {MAX_CENSUS_VECTORS}\n"
 
 
 def test_import_leaves_out_dataclasses():
