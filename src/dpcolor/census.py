@@ -24,13 +24,9 @@ import itertools
 from .errors import CapExceeded
 from .multigraph import Multigraph
 
-_PAIR_CACHE = {}
-
 
 def _pairs_of(n):
-    if n not in _PAIR_CACHE:
-        _PAIR_CACHE[n] = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    return _PAIR_CACHE[n]
+    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
 
 
 def canonical_key(g: Multigraph) -> tuple:
@@ -128,9 +124,12 @@ def _census(max_n: int, max_mult: int, min_degree: int = 0):
     min_degree.  A complete vector is connected when the neighbour masks
     reach every vertex from vertex 1, and it is kept exactly when
     _canonical_vector of its masks returns it; only then is a Multigraph
-    built, one per class.  Raises CapExceeded when the scan would cover
-    more than MAX_CENSUS_VECTORS vectors.
+    built, one per class.  Raises ValueError when max_n is below 1, and
+    CapExceeded when the scan would cover more than MAX_CENSUS_VECTORS
+    vectors.
     """
+    if max_n < 1:
+        raise ValueError("max_n must be positive")
     total = 0
     for n in range(1, max_n + 1):
         total += (max_mult + 1) ** (n * (n - 1) // 2)

@@ -44,7 +44,7 @@ def decide_degree_colorable(g: Multigraph,
     dec = blocks(g)
     reason = tuple(zip(dec.blocks, dec.classifications))
     other = {v for vs, cls in reason if isinstance(cls, Other) for v in vs}
-    components = tuple((comp, not other.isdisjoint(comp)) for comp in g.components())
+    components = tuple((comp, not other.isdisjoint(comp)) for comp in dec.components)
     colorable = all(ok for _, ok in components)
     if colorable or not build_witness:
         return DegreeColorabilityVerdict(colorable, reason, None, components)

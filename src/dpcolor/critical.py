@@ -101,9 +101,9 @@ def check_gdp_edge_bound(t: Multigraph, k: int) -> tuple[bool, Fraction]:
         raise ValueError("bound defined for k >= 4")
     if not t.is_simple():
         raise ValueError("expected a simple graph")
-    if not t.is_connected():
-        raise ValueError("expected a connected graph")
     dec = blocks(t)
+    if len(dec.components) > 1:
+        raise ValueError("expected a connected graph")
     if any(isinstance(c, Other) for c in dec.classifications):
         raise GdpPrecondition("not-gdp-tree", "a block is neither complete nor a cycle")
     if t.max_degree() > k - 1:

@@ -161,10 +161,9 @@ class Multigraph:
 
     # -- connectivity ---------------------------------------------------------
 
-    def _roots(self):
-        """(parent, joins) from one union-find sweep over the pairs, with path
-        halving: parent leads each vertex to its component's root, and the
-        graph is connected iff n - 1 joins happen."""
+    def is_connected(self) -> bool:
+        """One union-find sweep over the pairs, with path halving: the graph
+        is connected iff n - 1 of the pairs join two components."""
         parent = list(range(self.n + 1))
         joins = 0
         for u, v in self._mult:
@@ -175,22 +174,7 @@ class Multigraph:
             if u != v:
                 parent[u] = v
                 joins += 1
-        return parent, joins
-
-    def components(self):
-        """Connected components as sorted vertex tuples, ordered by minimum:
-        the vertices grouped by root, in ascending order."""
-        parent, _ = self._roots()
-        comps = {}
-        for v in self.vertices():
-            r = v
-            while parent[r] != r:
-                parent[r] = r = parent[parent[r]]
-            comps.setdefault(r, []).append(v)
-        return [tuple(comp) for comp in comps.values()]
-
-    def is_connected(self) -> bool:
-        return self._roots()[1] == self.n - 1
+        return joins == self.n - 1
 
     def degeneracy(self) -> int:
         """Smallest d such that every sub-multigraph has a vertex of degree <= d.
@@ -284,102 +268,84 @@ class Other(_Shape):
 
 class BlockDecomposition(NamedTuple):
     blocks: tuple            # sorted vertex tuples, ordered by smallest vertex
-    cut_vertices: tuple
     classifications: tuple   # parallel to blocks
+    components: tuple        # sorted vertex tuples, ordered by smallest vertex
 
 
-def _articulation_data(g: Multigraph):
-    """Iterative lowpoint DFS on the underlying simple graph.
+def _block(g: Multigraph, edges):
+    """(sorted vertex tuple, shape) of the block whose edges the DFS found."""
+    vs = tuple(sorted({x for e in edges for x in e}))
+    r = len(vs)
+    mults = {g.multiplicity(u, v) for u, v in edges}
+    shape = Other()
+    if len(mults) == 1:
+        k = mults.pop()
+        if len(edges) == r * (r - 1) // 2:
+            shape = CompletePower(r, k)
+        elif r >= 4 and len(edges) == r:
+            shape = CyclePower(r, k)
+    return vs, shape
 
-    Returns (blocks as edge lists, cut vertex set, isolated vertices).
+
+def blocks(g: Multigraph) -> BlockDecomposition:
+    """Biconnected blocks with a classification of each, and the connected
+    components, from one iterative lowpoint DFS (Hopcroft and Tarjan, CACM
+    1973).
+
+    The DFS runs on the underlying simple graph, so two vertices joined by
+    parallel edges form a complete (K_2-power) block rather than a 2-cycle.
+    Each block is classified from the edges the DFS found for it: r
+    vertices with one multiplicity k make CompletePower(r, k) when all
+    r(r - 1)/2 pairs are joined, and CyclePower(r, k) when r >= 4 and r
+    pairs are (a 2-connected graph with as many edges as vertices is a
+    cycle), so a uniform triangle is CompletePower(3, k).  Any other block
+    is Other.  Each root's component is the vertices its DFS discovers; an
+    isolated vertex is its own component and its own CompletePower(1, 1)
+    block.
     """
     adj = g._adjacency()
     disc = {}
     low = {}
-    cuts = set()
-    edge_blocks = []
-    isolated = []
-    timer = 0
+    found = []
+    components = []
     for start in g.vertices():
         if start in disc:
             continue
+        disc[start] = low[start] = len(disc)
+        comp = [start]
         if not adj[start]:
-            isolated.append(start)
-            continue
-        disc[start] = low[start] = timer
-        timer += 1
+            found.append(((start,), CompletePower(1, 1)))
+        # estack holds the edges not yet in a block; a stack entry keeps the
+        # estack index of the tree edge that discovered its vertex, so the
+        # block that edge closes is the tail of estack from there
         estack = []
-        root_pops = 0
-        stack = [(start, None, iter(adj[start]))]
+        stack = [(start, None, iter(adj[start]), 0)]
         while stack:
-            v, parent, it = stack[-1]
-            pushed = False
+            v, parent, it, _ = stack[-1]
             for w in it:
                 if w == parent:
                     continue
                 if w not in disc:
+                    stack.append((w, v, iter(adj[w]), len(estack)))
                     estack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, iter(adj[w])))
-                    pushed = True
+                    disc[w] = low[w] = len(disc)
+                    comp.append(w)
                     break
                 if disc[w] < disc[v]:
                     estack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if pushed:
-                continue
-            stack.pop()
-            if not stack:
-                continue
-            u = stack[-1][0]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
-                comp = []
-                while estack[-1] != (u, v):
-                    comp.append(estack.pop())
-                comp.append(estack.pop())
-                edge_blocks.append(comp)
-                if u == start:
-                    root_pops += 1
-                else:
-                    cuts.add(u)
-        if root_pops > 1:
-            cuts.add(start)
-    return edge_blocks, cuts, isolated
-
-
-def blocks(g: Multigraph) -> BlockDecomposition:
-    """Biconnected blocks, cut vertices, and a classification of every block.
-
-    Runs on the underlying simple graph, so two vertices joined by parallel
-    edges form a complete (K_2-power) block rather than a 2-cycle.  Each
-    block is classified from the edges the DFS found for it: r vertices
-    with one multiplicity k make CompletePower(r, k) when all r(r - 1)/2
-    pairs are joined, and CyclePower(r, k) when r >= 4 and r pairs are (a
-    2-connected graph with as many edges as vertices is a cycle), so a
-    uniform triangle is CompletePower(3, k).  Any other block is Other, and
-    an isolated vertex is CompletePower(1, 1).
-    """
-    edge_blocks, cuts, isolated = _articulation_data(g)
-    found = [((v,), CompletePower(1, 1)) for v in isolated]
-    for comp in edge_blocks:
-        vs = tuple(sorted({x for e in comp for x in e}))
-        r = len(vs)
-        mults = {g.multiplicity(u, v) for u, v in comp}
-        shape = Other()
-        if len(mults) == 1:
-            k = mults.pop()
-            if len(comp) == r * (r - 1) // 2:
-                shape = CompletePower(r, k)
-            elif r >= 4 and len(comp) == r:
-                shape = CyclePower(r, k)
-        found.append((vs, shape))
+                    low[v] = min(low[v], disc[w])
+            else:
+                at = stack.pop()[3]
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        found.append(_block(g, estack[at:]))
+                        del estack[at:]
+        components.append(tuple(sorted(comp)))
     found.sort(key=lambda block: block[0])
     vertex_sets, shapes = zip(*found)
-    return BlockDecomposition(vertex_sets, tuple(sorted(cuts)), shapes)
+    return BlockDecomposition(vertex_sets, shapes, tuple(components))
 
 
 # -- text format ----------------------------------------------------------------

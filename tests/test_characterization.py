@@ -4,7 +4,7 @@ from dpcolor import (CompletePower, Cover, CyclePower, Multigraph, Other,
                      build_bad_complete, build_bad_cycle,
                      decide_degree_colorable, degree_colorable_oracle, solve,
                      validate_cover)
-from oracles import induced, random_connected_multigraph, random_multigraph
+from oracles import brute_components, induced, random_connected_multigraph, random_multigraph
 
 
 def bowtie():
@@ -145,7 +145,7 @@ def test_components_agree_with_induced_subgraphs():
     for _ in range(200):
         g = random_multigraph(rng, 9, 3)
         verdict = decide_degree_colorable(g)
-        assert [comp for comp, _ in verdict.components] == list(g.components())
+        assert [comp for comp, _ in verdict.components] == brute_components(g)
         for comp, ok in verdict.components:
             assert ok == decide_degree_colorable(induced(g, comp)).colorable
         assert verdict.colorable == all(ok for _, ok in verdict.components)

@@ -315,6 +315,14 @@ def test_out_of_range_flags_are_input_errors(k3_file, capsys):
         assert captured.err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_census_refuses_max_n_below_one(capsys, max_n):
+    assert main(["census", "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: max_n must be positive\n"
+
+
 def test_unwritable_output_is_an_input_error(tmp_path, capsys, k3_file):
     missing = tmp_path / "missing"
     bowtie = str(DATA / "bowtie.graph")

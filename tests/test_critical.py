@@ -140,7 +140,7 @@ def test_leaf_block_removal_keeps_bound():
                 continue
             ok, _ = check_gdp_edge_bound(t, k)
             assert ok
-            cuts = set(dec.cut_vertices)
+            cuts = {v for v in t.vertices() if sum(v in vs for vs in dec.blocks) > 1}
             for vs in dec.blocks:
                 inside = [v for v in vs if v not in cuts]
                 if len(inside) != len(vs) - 1:

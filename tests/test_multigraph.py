@@ -55,7 +55,7 @@ def test_is_connected_matches_reachability():
     answers = [g.is_connected() for g in graphs]
     comps = [brute_components(g) for g in graphs]
     assert answers == [len(c) == 1 for c in comps]
-    assert [g.components() for g in graphs] == comps
+    assert [list(blocks(g).components) for g in graphs] == comps
     assert answers[:7] == [True, False, False, False, False, True, False]
     assert 50 < answers.count(False) < 350
 
@@ -63,7 +63,7 @@ def test_is_connected_matches_reachability():
 def test_blocks_cycle():
     dec = blocks(Multigraph.cycle(5))
     assert dec.blocks == ((1, 2, 3, 4, 5),)
-    assert dec.cut_vertices == ()
+    assert dec.components == ((1, 2, 3, 4, 5),)
     assert dec.classifications == (CyclePower(5, 1),)
 
 
@@ -71,14 +71,14 @@ def test_blocks_two_triangles_sharing_vertex():
     g = Multigraph.from_edges(5, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
     dec = blocks(g)
     assert dec.blocks == ((1, 2, 3), (3, 4, 5))
-    assert dec.cut_vertices == (3,)
+    assert dec.components == ((1, 2, 3, 4, 5),)
     assert dec.classifications == (CompletePower(3, 1), CompletePower(3, 1))
 
 
 def test_blocks_path():
     dec = blocks(Multigraph.path(3))
     assert dec.blocks == ((1, 2), (2, 3))
-    assert dec.cut_vertices == (2,)
+    assert dec.components == ((1, 2, 3),)
     assert all(c == CompletePower(2, 1) for c in dec.classifications)
 
 
@@ -113,8 +113,7 @@ def test_blocks_match_brute_force(witness_record):
         dec = blocks(g)
         where = format_multigraph(g)
         assert list(zip(dec.blocks, dec.classifications)) == brute_blocks(g), where
-        cuts = [v for v in g.vertices() if sum(v in vs for vs in dec.blocks) > 1]
-        assert dec.cut_vertices == tuple(cuts), where
+        assert list(dec.components) == brute_components(g), where
 
 
 def test_classify_examples():
@@ -199,12 +198,12 @@ def test_adjacency_built_on_first_use():
     assert g._adj is None
     assert [g.neighbors(v) for v in g.vertices()] == [(2, 3, 4, 5), (1, 3), (1, 2),
                                                       (1, 5), (1, 4)]
-    assert g.components() == [(1, 2, 3, 4, 5)]
     b = blocks(g)
-    assert b.blocks == ((1, 2, 3), (1, 4, 5)) and b.cut_vertices == (1,)
+    assert b.components == ((1, 2, 3, 4, 5),)
+    assert b.blocks == ((1, 2, 3), (1, 4, 5))
     assert b.classifications == (CompletePower(3, 1), CompletePower(3, 1))
     two = parse_multigraph("6\n1 2 1\n1 3 1\n2 3 1\n2 4 1\n3 4 1\n5 6 1\n")
-    assert two.components() == [(1, 2, 3, 4), (5, 6)]
+    assert blocks(two).components == ((1, 2, 3, 4), (5, 6))
     assert two.degeneracy() == 2
     assert [two.neighbors(v) for v in two.vertices()] == [(2, 3), (1, 3, 4), (1, 2, 4),
                                                           (2, 3), (6,), (5,)]
