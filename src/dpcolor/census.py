@@ -11,7 +11,8 @@ vertex row at a time, in lexicographic order, keeping per-vertex masks in
 place as rows are set and undone.  A branch ends when a row closes a degree
 below ``min_degree``; connectivity comes from the neighbour masks, and a
 vector is kept exactly when the canonical form of its masks is the vector
-itself, so one ``Multigraph`` is built per class, for its canonical vector.
+itself, a test that stops at the first row of the canonical form that
+differs from the vector's, so one ``Multigraph`` is built per class, for its canonical vector.
 The ``max_n`` guards and ``MAX_CENSUS_VECTORS`` refuse a census whose scan
 would be too long before it starts.  All three generators order their
 graphs by (n, total edges, canonical key).
@@ -46,7 +47,7 @@ def canonical_key(g: Multigraph) -> tuple:
     return (g.n, tuple(_canonical_vector(masks)))
 
 
-def _canonical_vector(masks) -> list:
+def _canonical_vector(masks, target=None) -> list:
     """The smallest multiplicity vector over all relabelings of the graph
     whose vertex x (0-based) is joined by k >= 1 edges to the vertices of
     the bitmask masks[x][k].  masks[x][0] is overwritten with the vertices
@@ -63,6 +64,10 @@ def _canonical_vector(masks) -> list:
     Cells are vertex bitmasks, and a row is held as its runs, (value,
     -length) each.  All surviving partitions have the same cell sizes, so
     comparing runs orders rows as comparing the rows themselves.
+
+    Given a target, the build stops at the first row that differs from the
+    target's and returns the prefix so far.  For the graph's own vector that
+    row is smaller, since the identity is one of the relabelings.
     """
     n = len(masks)
     full = (1 << n) - 1
@@ -95,6 +100,8 @@ def _canonical_vector(masks) -> list:
                     survivors.add(tuple(split))
         for k, length in zip(best[::2], best[1::2]):
             vec += [k] * -length
+        if target is not None and vec != target[:len(vec)]:
+            break
         partitions = survivors
     return vec
 
@@ -123,9 +130,10 @@ def _census(max_n: int, max_mult: int, min_degree: int = 0):
     row closes two), so a branch ends as soon as a closed degree is below
     min_degree.  A complete vector is connected when the neighbour masks
     reach every vertex from vertex 1, and it is kept exactly when
-    _canonical_vector of its masks returns it; only then is a Multigraph
-    built, one per class.  Raises ValueError when max_n is below 1, and
-    CapExceeded when the scan would cover more than MAX_CENSUS_VECTORS
+    _canonical_vector of its masks, given the vector as target, returns it:
+    the test stops at the first row that differs.  Only a kept vector gets
+    a Multigraph, one per class.  Raises ValueError when max_n is below 1,
+    and CapExceeded when the scan would cover more than MAX_CENSUS_VECTORS
     vectors.
     """
     if max_n < 1:
@@ -168,7 +176,7 @@ def _census(max_n: int, max_mult: int, min_degree: int = 0):
                     new = nbrs[low.bit_length() - 1] & ~seen
                     seen |= new
                     todo |= new
-                if seen == full and _canonical_vector(masks) == vec:
+                if seen == full and _canonical_vector(masks, vec) == vec:
                     found[(n, tuple(vec))] = Multigraph(
                         n, {p: m for p, m in zip(pairs, vec) if m})
                 return
@@ -227,8 +235,10 @@ def gdp_trees(max_n: int, max_complete_block: int, max_degree: int):
     Generated constructively: start from a single vertex and repeatedly
     attach a new block at an existing vertex; every such graph with b+1
     blocks arises from one with b blocks by removing a leaf block, so the
-    expansion is exhaustive.
+    expansion is exhaustive.  Raises ValueError when max_n is below 1.
     """
+    if max_n < 1:
+        raise ValueError("max_n must be positive")
     seed = Multigraph(1, {})
     found = {canonical_key(seed): seed}
     frontier = [seed]

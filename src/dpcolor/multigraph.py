@@ -14,11 +14,11 @@ from typing import NamedTuple
 from .errors import CapExceeded, ParseError
 
 
-# Graphs and covers share equal small tuples: the pair keys (u, v) of both
-# and the cells (i, j) of covers.  The tuples are immutable, so callers
-# cannot tell, and a caller that keeps many graphs or covers (a census, a
-# critical-graph hunt, a batch of parsed files) stores each distinct tuple
-# once.  The table stops taking new tuples at _SHARED_MAX.
+# Graphs and covers share equal small tuples: the pair keys (u, v) of both,
+# the (u, v, k) triples of pairs() and the cells (i, j) of covers.  The
+# tuples are immutable, so callers cannot tell, and a caller that keeps many
+# graphs or covers (a census, a critical-graph hunt, a batch of parsed files)
+# stores each distinct tuple once.  The table stops at _SHARED_MAX tuples.
 _SHARED_MAX = 4096
 _shared = {}
 
@@ -106,7 +106,7 @@ class Multigraph:
 
     def pairs(self):
         """Sorted (u, v, k) triples with u < v and k >= 1."""
-        return [(u, v, k) for (u, v), k in sorted(self._mult.items())]
+        return [_share((u, v, k)) for (u, v), k in sorted(self._mult.items())]
 
     def multiplicities(self):
         """Read-only view of the ((u, v), k) entries, u < v and k >= 1, in

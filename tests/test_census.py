@@ -7,7 +7,7 @@ import dpcolor.census
 from dpcolor import (CapExceeded, Multigraph, are_isomorphic, canonical_key,
                      connected_multigraphs, connected_simple_graphs,
                      gdp_trees)
-from dpcolor.census import MAX_CENSUS_VECTORS, _census, _pairs_of
+from dpcolor.census import MAX_CENSUS_VECTORS, _canonical_vector, _census, _pairs_of
 from oracles import brute_canonical_key, brute_census, is_gdp_tree
 
 
@@ -80,6 +80,27 @@ def test_representatives_are_their_canonical_vectors(simple6):
     for g in itertools.chain(*censuses):
         vec = tuple(g.multiplicity(u, v) for u, v in _pairs_of(g.n))
         assert vec == canonical_key(g)[1], g.pairs()
+
+
+@pytest.mark.parametrize("n, max_mult", [(4, 2), (5, 1)])
+def test_target_stops_at_the_first_differing_row(n, max_mult):
+    # every vector, disconnected ones too: given the vector as target,
+    # _canonical_vector returns it exactly when it is the canonical vector,
+    # and otherwise a prefix of the canonical vector
+    pairs = _pairs_of(n)
+    for vec in itertools.product(range(max_mult + 1), repeat=len(pairs)):
+        vec = list(vec)
+        masks = [[0] * (max_mult + 1) for _ in range(n)]
+        for (u, v), k in zip(pairs, vec):
+            masks[u - 1][k] |= 1 << (v - 1)
+            masks[v - 1][k] |= 1 << (u - 1)
+        got = _canonical_vector(masks, vec)
+        assert got == _canonical_vector(masks)[:len(got)], vec
+        # row ends at which got and vec differ; got stops at the first
+        ends = [e for e in itertools.accumulate(range(n - 1, 0, -1)) if got[:e] != vec[:e]]
+        assert got == vec if not ends else len(got) == ends[0], vec
+        g = Multigraph(n, {p: k for p, k in zip(pairs, vec) if k})
+        assert (got == vec) == (brute_canonical_key(g) == (n, tuple(vec))), vec
 
 
 @pytest.mark.parametrize("max_n, max_mult, min_degree",
@@ -167,6 +188,12 @@ def test_gdp_trees_deterministic():
     a = gdp_trees(6, max_complete_block=3, max_degree=3)
     b = gdp_trees(6, max_complete_block=3, max_degree=3)
     assert a == b
+
+
+def test_gdp_trees_refuses_a_nonpositive_max_n():
+    for max_n in (0, -2):
+        with pytest.raises(ValueError, match="^max_n must be positive$"):
+            gdp_trees(max_n, 3, 3)
 
 
 def test_multigraph_census_cap():

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+import dpcolor.multigraph
 from dpcolor import (CapExceeded, CompletePower, CyclePower, Multigraph,
                      Other, ParseError,
-                     blocks, format_cover, format_multigraph,
+                     blocks, connected_simple_graphs, format_cover, format_multigraph,
                      parse_cover, parse_multigraph, product_reduction, solve)
 from dpcolor.multigraph import MAX_VERTICES
 from oracles import (brute_blocks, brute_components, brute_degeneracy, induced,
@@ -25,6 +26,31 @@ def test_zero_multiplicity_not_stored():
     assert g.multiplicity(2, 3) == 0
     assert g.pairs() == [(1, 2, 1)]
     assert g.neighbors(2) == (1,)
+
+
+def test_pairs_share_triples_in_a_fresh_list(monkeypatch):
+    monkeypatch.setattr(dpcolor.multigraph, "_shared", {})
+    a = Multigraph(4, {(3, 4): 2, (1, 2): 1, (2, 3): 1})
+    b = Multigraph(3, {(2, 3): 1, (1, 2): 1})
+    assert a.pairs() == [(1, 2, 1), (2, 3, 1), (3, 4, 2)]
+    assert b.pairs() == [(1, 2, 1), (2, 3, 1)]
+    assert a.pairs()[0] is b.pairs()[0] and a.pairs()[1] is b.pairs()[1]
+    # a new list on every call, so a caller may change the one it gets
+    first = a.pairs()
+    assert first is not a.pairs()
+    first.clear()
+    assert a.pairs() == [(1, 2, 1), (2, 3, 1), (3, 4, 2)]
+    rng = random.Random(5)
+    for _ in range(50):
+        g = random_multigraph(rng, 6, 3)
+        assert g.pairs() == [(u, v, k) for (u, v), k in sorted(g.multiplicities())]
+
+
+def test_census_graphs_share_their_triples(monkeypatch):
+    monkeypatch.setattr(dpcolor.multigraph, "_shared", {})
+    edges = [t for g in connected_simple_graphs(5) for t in g.pairs() if t == (1, 2, 1)]
+    assert len(edges) > 1
+    assert all(t is edges[0] for t in edges)
 
 
 def test_degree_examples():
