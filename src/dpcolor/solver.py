@@ -25,9 +25,10 @@ Two engines live here:
   dies; sibling branches ban the cells already tried, which keeps the
   explored solution sets disjoint.  Two cuts end hopeless branches: a
   surviving transversal whose cells are all unaddable can never be blocked,
-  and a capacity bound shows when the cells each pair can still add, taken
-  with their kill counts and with overlaps ignored, cannot block every
-  surviving transversal.  Spanning-forest gauge fixing shrinks the space.
+  and a reach bound shows when the cells each pair can still add within
+  its row and column caps, taken with their kill counts and with overlaps
+  ignored, cannot block every surviving transversal.  Spanning-forest
+  gauge fixing shrinks the space.
   An uncolorable cover may be taken maximal, each pair of multiplicity m a
   union of m maximum matchings (adding cross edges never makes a
   transversal), and a maximum matching saturates the shorter list.  In a
@@ -231,29 +232,32 @@ def find_uncolorable_cover(g: Multigraph, list_sizes,
 
 
 def _class_masks(sizes):
-    """masks[v][c] = bitmask of the transversals that give vertex v color c + 1.
+    """(masks, strides): masks[v][c] = bitmask of the transversals that give
+    vertex v color c + 1; strides[v] = the product of the later list sizes,
+    and strides[0] = the number of transversals.
 
     Bit b stands for the transversal with mixed-radix index b, vertex n the
-    least significant digit, so the class of (v, c) is a run of strides[v]
-    ones at offset c * strides[v], repeated every strides[v] * sizes[v - 1]
-    bits; the repetition is built by shift-doubling.
+    least significant digit, giving v the color b // strides[v] % s + 1 with
+    s = sizes[v - 1].  So the class of (v, c) is a run of strides[v] ones at
+    offset c * strides[v], repeated every strides[v - 1] bits; the repetition
+    is built by shift-doubling.
     """
     space = 1
     for s in sizes:
         space *= s
     full = (1 << space) - 1
     masks = [None]
-    period = space
+    strides = [space]
     for s in sizes:
-        stride = period // s
-        row, filled = (1 << stride) - 1, period
+        stride = strides[-1] // s
+        row, filled = (1 << stride) - 1, strides[-1]
         while filled < space:
             row |= row << filled
             filled *= 2
         row &= full
         masks.append([row << (c * stride) for c in range(s)])
-        period = stride
-    return masks
+        strides.append(stride)
+    return masks, strides
 
 
 def _spanning_forest(g: Multigraph, sizes):
@@ -307,6 +311,29 @@ def _fewest(S, cover):
     return fewest, count
 
 
+def _reach(mus, b, m, rowdeg, coldeg):
+    """Most transversals a pair of multiplicity m can still block, counted
+    without overlaps.
+
+    mus[k] is the kill count of the pair's cell k if it is live (addable,
+    and blocking some survivor), else 0; cells run row by row, b to a row,
+    and rowdeg[i], coldeg[j] are the degrees held in row i and column j.
+    On a gauge-fixed diagonal (b = 0) every live cell fits, so the sum is
+    exact.  Otherwise the pair blocks at most the largest kill counts that
+    fit each row's remaining degree, and apart from that each column's.
+    These caps also keep the total within the pair's room: with
+    |L(u)| <= |L(w)| the rows admit sum(m - rowdeg[i]) = m * |L(u)| - held
+    cells, and otherwise the columns do.
+    """
+    if not b:
+        return sum(mus)
+    rows = sum(sum(sorted(mus[k:k + b], reverse=True)[:m - rowdeg[k // b + 1]])
+               for k in range(0, len(mus), b))
+    cols = sum(sum(sorted(mus[j::b], reverse=True)[:m - coldeg[j + 1]])
+               for j in range(b))
+    return min(rows, cols)
+
+
 def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
     """Core complete search; returns {pair: cells taken} or None.
 
@@ -322,13 +349,12 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
     pv = [p[1] for p in plist]
     pm = [p[2] for p in plist]
     tree = _spanning_forest(g, sizes)
-    classmask = _class_masks(sizes)
+    classmask, strides = _class_masks(sizes)
     # cells[p][k] = (k, i, j, mask) for the cells (i, j) the gauge allows, row
     # by row: k = (i - 1) * width[p] + j - 1, or k = i - 1 on a gauge-fixed
     # diagonal (width 0)
     cells = []
     width = []
-    capacity = []   # most cells pair p can hold
     fixed = []      # (p, k): diagonal cells the gauge takes before the search
     for p, (u, v, m) in enumerate(plist):
         a, b = sizes[u - 1], sizes[v - 1]
@@ -339,19 +365,13 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
         cells.append([(k, i, j, classmask[u][i - 1] & classmask[v][j - 1])
                       for k, (i, j) in enumerate(allowed)])
         width.append(0 if diag else b)
-        capacity.append(m * min(a, b))
         if gauged and m > 1 and a != b:
             fixed.extend((p, (i - 1) * b + i - 1) for i in range(1, min(a, b) + 1))
-    strides = [0] * (n + 1)
-    space = 1
-    for v in range(n, 0, -1):
-        strides[v] = space
-        space *= sizes[v - 1]
 
     rowdeg = [[0] * (sizes[u - 1] + 1) for u in pu]
     coldeg = [[0] * (sizes[v - 1] + 1) for v in pv]
     closed = [bytearray(len(cs)) for cs in cells]  # taken or banned: not addable
-    S = (1 << space) - 1
+    S = (1 << strides[0]) - 1
     for p, k in fixed:
         _, i, j, mask = cells[p][k]
         rowdeg[p][i] += 1
@@ -363,37 +383,15 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
     def decode(idx):
         return tuple(idx // strides[v] % sizes[v - 1] + 1 for v in range(1, n + 1))
 
-    def reach(p, mus):
-        """Most transversals pair p can still block, counted without overlaps.
-
-        mus[k] is the kill count of cells[p][k] if that cell is live
-        (addable, and blocking some transversal of S), else 0.  The pair
-        blocks at most the largest kill counts it can still hold: within
-        each row and each column up to the remaining degree, and in all up
-        to its free capacity.  On a gauge-fixed diagonal every live cell
-        fits, so the sum is exact.
-        """
-        b, m = width[p], pm[p]
-        if not b:
-            return sum(mus)
-        free = capacity[p] - sum(rowdeg[p])
-        best = sum(sorted(mus, reverse=True)[:free])
-        for lines, deg in (([mus[k:k + b] for k in range(0, len(mus), b)], rowdeg[p]),
-                           ([mus[j::b] for j in range(b)], coldeg[p])):
-            s = 0
-            for i, line in enumerate(lines, start=1):
-                s += sum(sorted(line, reverse=True)[:m - deg[i]])
-            best = min(best, s)
-        return best
-
     def branches(S):
         """Cells to add at a node with survivors S, most killing first, or
         none when the node is cut.
 
         Two cuts: a transversal of S that no pair can block any more, and
-        the capacity bound, under which the pairs' reach() summed, overlaps
-        ignored and so never too low, falls short of |S|.  The per-pair
-        masks built here are freed before the search goes deeper.
+        the reach bound, under which the pairs' _reach() summed, each
+        within its row and column caps and overlaps ignored, so never too
+        low, falls short of |S|.  The per-pair masks built here are freed
+        before the search goes deeper.
         """
         # kill counts of live cells, and coverage masks: t & cover[p] != 0
         # iff pair p can still block t
@@ -419,7 +417,7 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
         for p in range(P):
             if total >= need:
                 break
-            total += reach(p, lives[p]) - low[p]
+            total += _reach(lives[p], width[p], pm[p], rowdeg[p], coldeg[p]) - low[p]
         if total < need:
             return []
         t = decode((fewest & -fewest).bit_length() - 1)

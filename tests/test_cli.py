@@ -447,12 +447,12 @@ def test_strict_solve_words_the_walk_failure(tmp_path, monkeypatch, capsys):
 def test_flag_overrides_a_bad_env_value(monkeypatch, capsys):
     # the flag alone sets the budget; the variable is never read
     monkeypatch.setenv("DPCOLOR_NODE_BUDGET", "abc")
-    k3 = str(DATA / "k3.graph")
-    assert main(["--node-budget", "5", "chi-dp", k3]) == 3
+    k4 = str(DATA / "k4.graph")
+    assert main(["--node-budget", "5", "chi-dp", k4]) == 3
     assert capsys.readouterr().err == ("resource cap: cover search exceeded "
                                        "node budget 5\n")
-    assert main(["--node-budget", "1000", "chi-dp", k3]) == 0
-    assert capsys.readouterr().out == "3\n"
+    assert main(["--node-budget", "1000", "chi-dp", k4]) == 0
+    assert capsys.readouterr().out == "4\n"
 
 
 def test_oracle_refuses_a_disconnected_graph(capsys):

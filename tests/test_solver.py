@@ -18,7 +18,8 @@ from dpcolor import (CapExceeded, Cover, CoverInvalid,
                      solve, validate_cover)
 from dpcolor.solver import (MAX_MASK_BITS, MAX_ORACLE_TOTAL_DEGREE,
                             MAX_TRANSVERSAL_SPACE, _class_masks,
-                            _complete_to_maximal, _fewest, _spanning_forest)
+                            _complete_to_maximal, _fewest, _reach,
+                            _spanning_forest)
 from oracles import (brute_chromatic_number, brute_cover_count, brute_fewest,
                      brute_force_transversal, brute_uncolorable_cover_exists,
                      degree_bounded_cell_sets, gauge_equivalent,
@@ -332,7 +333,11 @@ def test_class_masks_match_product_definition(sizes):
     for b, t in enumerate(itertools.product(*[range(1, s + 1) for s in sizes])):
         for v, c in enumerate(t, start=1):
             want[v][c - 1] |= 1 << b
-    assert _class_masks(sizes) == want
+    masks, strides = _class_masks(sizes)
+    assert masks == want
+    assert strides == [math.prod(sizes[v:]) for v in range(len(sizes) + 1)]
+    for b, t in enumerate(itertools.product(*[range(1, s + 1) for s in sizes])):
+        assert t == tuple(b // strides[v] % s + 1 for v, s in enumerate(sizes, start=1))
 
 
 def test_fewest_matches_per_bit_counts():
@@ -367,7 +372,7 @@ def test_fewest_matches_per_bit_counts():
 @pytest.mark.parametrize("max_n,max_mult,max_size,instances", [
     (3, 2, 2, 60),
     (4, 1, 3, 40),
-    (3, 2, 3, 40),  # pairs with more live cells than free capacity
+    (3, 2, 3, 40),  # doubled pairs on 3-lists, where the row and column caps bind
 ])
 def test_cover_search_matches_brute_force(max_n, max_mult, max_size, instances):
     """Existence of an uncolorable cover agrees with scanning every cover."""
@@ -389,6 +394,40 @@ def test_cover_search_matches_brute_force(max_n, max_mult, max_size, instances):
             assert witness.list_sizes == sizes
             assert brute_force_transversal(witness) is None
     assert answers == {True, False}
+
+
+def test_reach_bounds_every_cell_set_within_the_caps():
+    """_reach is at least the kill count of every set of live cells that
+    respects the remaining row and column degrees, and attains the largest
+    on a gauge-fixed diagonal, against scanning every cell set.  When the
+    held degrees agree, as in a search, it is never above the largest kill
+    counts of as many cells as the pair has room for."""
+    rng = random.Random(1610)
+    tight = 0
+    for _ in range(400):
+        m, a, b = rng.randint(1, 2), rng.randint(1, 3), rng.randint(1, 3)
+        if rng.random() < 0.2:  # a gauge-fixed diagonal: one cell a row
+            mus = [rng.choice((0, rng.randint(1, 9))) for _ in range(min(a, b))]
+            assert _reach(mus, 0, 1, None, None) == sum(mus)
+            continue
+        rowdeg = [0] + [rng.randint(0, m) for _ in range(a)]
+        coldeg = [0] + [rng.randint(0, m) for _ in range(b)]
+        mus = [rng.choice((0, rng.randint(1, 9))) for _ in range(a * b)]
+        bound = _reach(mus, b, m, rowdeg, coldeg)
+        best = 0
+        for chosen in itertools.product((0, 1), repeat=a * b):
+            rows = [sum(chosen[(i - 1) * b:i * b]) for i in range(1, a + 1)]
+            cols = [sum(chosen[j - 1::b]) for j in range(1, b + 1)]
+            if all(rowdeg[i] + rows[i - 1] <= m for i in range(1, a + 1)) and \
+                    all(coldeg[j] + cols[j - 1] <= m for j in range(1, b + 1)):
+                best = max(best, sum(itertools.compress(mus, chosen)))
+        assert best <= bound, (mus, b, m, rowdeg, coldeg)
+        tight += best == bound
+        held = sum(rowdeg)
+        if held == sum(coldeg):  # as in a search: the caps imply the pair's room
+            room = m * min(a, b) - held
+            assert sum(sorted(mus, reverse=True)[:room]) >= bound
+    assert tight >= 100  # the bound is often exact, so it is not trivially loose
 
 
 def _doubled_multigraphs():
@@ -424,22 +463,39 @@ def test_gauge_on_doubled_pairs_matches_brute_force():
     assert answers == {True, False}
 
 
+def _assert_search_nodes(g, sizes, nodes, found):
+    """The cell search takes exactly `nodes` nodes: it finishes with that
+    budget, with the answer `found`, and runs out one node below it."""
+    assert (find_uncolorable_cover(g, sizes, nodes) is not None) == found
+    with pytest.raises(CapExceeded, match=f"^cover search exceeded node budget {nodes - 1}$"):
+        find_uncolorable_cover(g, sizes, nodes - 1)
+
+
 def test_gauge_keeps_the_left_out_oracle_search_small():
     # the degree-list search on this (4,4,6,6) graph took 339,798 nodes
-    # before doubled tree pairs were gauge-fixed, and exhausts well within
-    # 5,000 now
+    # before doubled tree pairs were gauge-fixed, and exhausts in 3,639 now
     g = parse_multigraph("4\n1 3 2\n1 4 2\n2 3 2\n2 4 2\n3 4 2\n")
     assert g.degrees() == (4, 4, 6, 6)
-    assert find_uncolorable_cover(g, g.degrees(), 5_000) is None
+    _assert_search_nodes(g, g.degrees(), 3_639, False)
 
 
 def test_forest_from_the_shortest_lists_keeps_a_mixed_degree_search_small():
     # with the BFS tree from vertex 1, 1 of this (4,4,3,3,2) graph's 4 tree
     # pairs was gauge-fixed and the search took 2,553 nodes; grown from the
-    # shortest lists, all 4 are, and it exhausts within 500
+    # shortest lists, all 4 are, and it exhausts in 333
     g = parse_multigraph("5\n1 2 1\n1 3 1\n1 4 1\n1 5 1\n2 3 1\n2 4 1\n2 5 1\n3 4 1\n")
     assert g.degrees() == (4, 4, 3, 3, 2)
-    assert find_uncolorable_cover(g, g.degrees(), 500) is None
+    _assert_search_nodes(g, g.degrees(), 333, False)
+
+
+@pytest.mark.parametrize("g,k,nodes,found", [
+    (Multigraph.complete(4), 3, 21, True),
+    (Multigraph.complete(4), 4, 10, False),
+    (Multigraph.cycle(5), 2, 11, True),
+])
+def test_search_node_counts_are_pinned(g, k, nodes, found):
+    # exact counts: any change to the search's branching or cuts moves them
+    _assert_search_nodes(g, k, nodes, found)
 
 
 def test_forests_with_several_roots_match_brute_force():
