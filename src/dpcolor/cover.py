@@ -13,9 +13,9 @@ chosen pair of colors is joined by a cross edge.
 
 A Cover stores the cross edges of each pair (u, v) as a sorted tuple of
 shared cells (i, j), one canonical form for equality, hashing and output;
-while the bounded share table has room, graphs and covers hold one tuple
-per distinct cell and pair key.  parse_cover checks a file line by line
-and builds that form in one pass.
+graphs and covers built between two resets of the bounded share table
+hold one tuple per distinct cell and pair key.  parse_cover checks a file
+line by line and builds that form in one pass.
 """
 
 from __future__ import annotations

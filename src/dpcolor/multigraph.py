@@ -18,7 +18,9 @@ from .errors import CapExceeded, ParseError
 # the (u, v, k) triples of pairs() and the cells (i, j) of covers.  The
 # tuples are immutable, so callers cannot tell, and a caller that keeps many
 # graphs or covers (a census, a critical-graph hunt, a batch of parsed files)
-# stores each distinct tuple once.  The table stops at _SHARED_MAX tuples.
+# stores each distinct tuple once.  The table holds at most _SHARED_MAX
+# tuples; when it is full it is cleared and starts over, so one large graph
+# does not keep later ones from sharing.
 _SHARED_MAX = 4096
 _shared = {}
 
@@ -26,9 +28,9 @@ _shared = {}
 def _share(t: tuple) -> tuple:
     s = _shared.get(t)
     if s is None:
-        s = t
-        if len(_shared) < _SHARED_MAX:
-            _shared[t] = t
+        if len(_shared) >= _SHARED_MAX:
+            _shared.clear()
+        _shared[t] = s = t
     return s
 
 

@@ -36,12 +36,12 @@ Two engines live here:
   to a child w with |L(u)| <= |L(w)|: relabeling w's list maps one of its
   matchings onto the diagonal, and relabeling top-down along the forest
   does this for every tree pair at once, whatever the number of roots in
-  a component.  So a pair of multiplicity 1 uses only diagonal cells, and
-  a pair of multiplicity m >= 2 with |L(u)| < |L(w)| holds the diagonal
-  cells (i, i), i <= |L(u)|, from the start.  Equal lists at m >= 2 are left
-  ungauged: pre-taking their diagonal made searches that find a cover
-  several times longer.  This search too runs on an explicit stack, one
-  frame per node on the path.
+  a component.  One rule follows: a tree pair of multiplicity 1, or with
+  |L(u)| < |L(w)|, holds the diagonal cells (i, i), i <= |L(u)|, from the
+  start, and every pair searches the rest of its full grid.  Equal lists
+  at m >= 2 are left ungauged: pre-taking their diagonal made searches that
+  find a cover several times longer.  This search too runs on an explicit
+  stack, one frame per node on the path.
 
 chi_dp and the degree-colorability oracle are thin wrappers over the cell
 search.  All functions are pure and reentrant; independent instances can be
@@ -318,15 +318,12 @@ def _reach(mus, b, m, rowdeg, coldeg):
     mus[k] is the kill count of the pair's cell k if it is live (addable,
     and blocking some survivor), else 0; cells run row by row, b to a row,
     and rowdeg[i], coldeg[j] are the degrees held in row i and column j.
-    On a gauge-fixed diagonal (b = 0) every live cell fits, so the sum is
-    exact.  Otherwise the pair blocks at most the largest kill counts that
-    fit each row's remaining degree, and apart from that each column's.
+    The pair blocks at most the largest kill counts that fit each row's
+    remaining degree, and apart from that each column's.
     These caps also keep the total within the pair's room: with
     |L(u)| <= |L(w)| the rows admit sum(m - rowdeg[i]) = m * |L(u)| - held
     cells, and otherwise the columns do.
     """
-    if not b:
-        return sum(mus)
     rows = sum(sum(sorted(mus[k:k + b], reverse=True)[:m - rowdeg[k // b + 1]])
                for k in range(0, len(mus), b))
     cols = sum(sum(sorted(mus[j::b], reverse=True)[:m - coldeg[j + 1]])
@@ -350,22 +347,16 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
     pm = [p[2] for p in plist]
     tree = _spanning_forest(g, sizes)
     classmask, strides = _class_masks(sizes)
-    # cells[p][k] = (k, i, j, mask) for the cells (i, j) the gauge allows, row
-    # by row: k = (i - 1) * width[p] + j - 1, or k = i - 1 on a gauge-fixed
-    # diagonal (width 0)
+    # cells[p][k] = (k, i, j, mask) for every cell (i, j) of pair p, row by
+    # row: k = (i - 1) * width[p] + j - 1, with width[p] = |L(v)|
+    width = [sizes[v - 1] for v in pv]
     cells = []
-    width = []
     fixed = []      # (p, k): diagonal cells the gauge takes before the search
     for p, (u, v, m) in enumerate(plist):
         a, b = sizes[u - 1], sizes[v - 1]
-        gauged = (u, v) in tree
-        diag = gauged and m == 1
-        allowed = [(i, i) for i in range(1, min(a, b) + 1)] if diag else \
-            [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
-        cells.append([(k, i, j, classmask[u][i - 1] & classmask[v][j - 1])
-                      for k, (i, j) in enumerate(allowed)])
-        width.append(0 if diag else b)
-        if gauged and m > 1 and a != b:
+        cells.append([(k, i + 1, j + 1, classmask[u][i] & classmask[v][j])
+                      for k, (i, j) in enumerate(product(range(a), range(b)))])
+        if (u, v) in tree and (m == 1 or a != b):
             fixed.extend((p, (i - 1) * b + i - 1) for i in range(1, min(a, b) + 1))
 
     rowdeg = [[0] * (sizes[u - 1] + 1) for u in pu]
@@ -423,13 +414,7 @@ def _search_blocking_cells(g: Multigraph, sizes, node_budget: int):
         t = decode((fewest & -fewest).bit_length() - 1)
         opts = []
         for p in range(P):
-            i, j = t[pu[p] - 1], t[pv[p] - 1]
-            if width[p]:
-                k = (i - 1) * width[p] + j - 1
-            elif i == j:
-                k = i - 1
-            else:
-                continue
+            k = (t[pu[p] - 1] - 1) * width[p] + t[pv[p] - 1] - 1
             if lives[p][k]:
                 opts.append((-lives[p][k], p, k))
         opts.sort()

@@ -188,23 +188,31 @@ def test_parse_matches_the_checked_constructor():
 
 
 def test_parse_shares_cells_within_the_table_bound(monkeypatch):
-    table = {}
+    class Table(dict):  # records the most tuples it ever held
+        most = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            self.most = max(self.most, len(self))
+
+    g = dpcolor.multigraph.parse_multigraph("3\n1 2 1\n1 3 1\n2 3 1\n")
+    table = Table()
     monkeypatch.setattr(dpcolor.multigraph, "_shared", table)
     monkeypatch.setattr(dpcolor.multigraph, "_SHARED_MAX", 6)
-    # offers, in file order, 3 pair keys and 5 distinct cells; the table
-    # keeps the first 6: (1, 2), (1, 1), (4, 4), (3, 4), (1, 3), (1, 4)
+    # offers, in file order, 3 pair keys and 5 distinct cells: the first 6
+    # fill the table, and the 7th, pair key (2, 3), finds it full and starts
+    # it over, so the parse leaves (2, 3) and its cell (4, 3)
     text = "3\n4 4 4\n1 1 2 1\n1 4 2 4\n1 3 2 4\n1 1 3 4\n2 4 3 3\n"
-    one, two = parse_cover(text), parse_cover(text)
-    assert one == two
-    assert len(table) == 6
+    big = parse_cover(text, base=g)
+    assert set(table) == {(2, 3), (4, 3)}
+    assert big.cross[(2, 3)] == ((4, 3),)
+    # sharing resumes after the reset: two parses of a new cover hold one
+    # tuple per cell and pair key
+    small = "3\n4 4 4\n1 2 2 1\n"
+    one, two = parse_cover(small, base=g), parse_cover(small, base=g)
     assert one.cross[(1, 2)][0] is two.cross[(1, 2)][0]
-    assert one.cross[(1, 3)][0] is two.cross[(1, 3)][0]
-    assert one.cross[(2, 3)][0] is not two.cross[(2, 3)][0]  # offered past the bound
-    g = dpcolor.multigraph.parse_multigraph("3\n1 2 1\n1 3 1\n2 3 1\n")
-    assert len(table) == 6
-    keys = {k: k for k in g._mult}
-    assert keys[(1, 2)] is next(k for k in one.cross if k == (1, 2))
-    assert keys[(2, 3)] is not next(k for k in one.cross if k == (2, 3))
+    assert next(iter(one.cross)) is next(iter(two.cross))
+    assert table.most == 6
 
 
 def test_parsed_covers_stay_small(monkeypatch):

@@ -4,8 +4,8 @@ import pytest
 
 import dpcolor.multigraph
 from dpcolor import (CapExceeded, CompletePower, CyclePower, Multigraph,
-                     Other, ParseError,
-                     blocks, connected_simple_graphs, format_cover, format_multigraph,
+                     Other, ParseError, blocks, connected_multigraphs,
+                     connected_simple_graphs, format_cover, format_multigraph,
                      parse_cover, parse_multigraph, product_reduction, solve)
 from dpcolor.multigraph import MAX_VERTICES
 from oracles import (brute_blocks, brute_components, brute_degeneracy, induced,
@@ -49,6 +49,15 @@ def test_pairs_share_triples_in_a_fresh_list(monkeypatch):
 def test_census_graphs_share_their_triples(monkeypatch):
     monkeypatch.setattr(dpcolor.multigraph, "_shared", {})
     edges = [t for g in connected_simple_graphs(5) for t in g.pairs() if t == (1, 2, 1)]
+    assert len(edges) > 1
+    assert all(t is edges[0] for t in edges)
+
+
+def test_sharing_resumes_after_a_large_graph_fills_the_table(monkeypatch):
+    monkeypatch.setattr(dpcolor.multigraph, "_shared", {})
+    Multigraph.path(5000)  # 4,999 pair keys, more than the table holds
+    assert len(dpcolor.multigraph._shared) <= dpcolor.multigraph._SHARED_MAX
+    edges = [t for g in connected_multigraphs(4, 2) for t in g.pairs() if t == (1, 2, 1)]
     assert len(edges) > 1
     assert all(t is edges[0] for t in edges)
 

@@ -12,8 +12,9 @@ import dpcolor.solver
 from dpcolor import (CapExceeded, Cover, CoverInvalid,
                      InternalInvariantError, Multigraph,
                      build_bad_complete, build_bad_cycle,
-                     chi_dp, connected_multigraphs, degree_colorable_oracle,
-                     find_uncolorable_cover, parse_multigraph,
+                     chi_dp, connected_multigraphs, connected_simple_graphs,
+                     degree_colorable_oracle, find_uncolorable_cover,
+                     parse_multigraph,
                      permute_colors, product_reduction, random_degree_cover,
                      solve, validate_cover)
 from dpcolor.solver import (MAX_MASK_BITS, MAX_ORACLE_TOTAL_DEGREE,
@@ -398,18 +399,13 @@ def test_cover_search_matches_brute_force(max_n, max_mult, max_size, instances):
 
 def test_reach_bounds_every_cell_set_within_the_caps():
     """_reach is at least the kill count of every set of live cells that
-    respects the remaining row and column degrees, and attains the largest
-    on a gauge-fixed diagonal, against scanning every cell set.  When the
-    held degrees agree, as in a search, it is never above the largest kill
-    counts of as many cells as the pair has room for."""
+    respects the remaining row and column degrees, against scanning every
+    cell set.  When the held degrees agree, as in a search, it is never above
+    the largest kill counts of as many cells as the pair has room for."""
     rng = random.Random(1610)
     tight = 0
     for _ in range(400):
         m, a, b = rng.randint(1, 2), rng.randint(1, 3), rng.randint(1, 3)
-        if rng.random() < 0.2:  # a gauge-fixed diagonal: one cell a row
-            mus = [rng.choice((0, rng.randint(1, 9))) for _ in range(min(a, b))]
-            assert _reach(mus, 0, 1, None, None) == sum(mus)
-            continue
         rowdeg = [0] + [rng.randint(0, m) for _ in range(a)]
         coldeg = [0] + [rng.randint(0, m) for _ in range(b)]
         mus = [rng.choice((0, rng.randint(1, 9))) for _ in range(a * b)]
@@ -428,6 +424,28 @@ def test_reach_bounds_every_cell_set_within_the_caps():
             room = m * min(a, b) - held
             assert sum(sorted(mus, reverse=True)[:room]) >= bound
     assert tight >= 100  # the bound is often exact, so it is not trivially loose
+
+
+def test_reach_cut_keeps_the_first_cover_on_real_instances(monkeypatch):
+    """The reach cut only drops subtrees that hold no uncolorable cover, so
+    the depth-first search finds the same first cover, or none, with the
+    cut disabled: degree lists over connected_multigraphs(4, 2) and 3-lists
+    over the connected 6-vertex simple graphs of minimum degree 3."""
+    instances = [(g, g.degrees()) for g in connected_multigraphs(4, 2)
+                 if sum(g.degrees()) <= MAX_ORACLE_TOTAL_DEGREE]
+    instances += [(g, 3) for g in connected_simple_graphs(6, min_degree=3)]
+    assert len(instances) == 63 + 23
+    reach = dpcolor.solver._reach
+    found = set()
+    # instance by instance, uncut first: a cut that drops the first cover can
+    # send the search through the rest of a very large tree
+    for g, sizes in instances:
+        monkeypatch.setattr(dpcolor.solver, "_reach", lambda *args: 1 << 62)
+        without = find_uncolorable_cover(g, sizes)
+        monkeypatch.setattr(dpcolor.solver, "_reach", reach)
+        assert find_uncolorable_cover(g, sizes) == without, (g.pairs(), sizes)
+        found.add(without is not None)
+    assert found == {True, False}
 
 
 def _doubled_multigraphs():
@@ -482,17 +500,18 @@ def test_gauge_keeps_the_left_out_oracle_search_small():
 def test_forest_from_the_shortest_lists_keeps_a_mixed_degree_search_small():
     # with the BFS tree from vertex 1, 1 of this (4,4,3,3,2) graph's 4 tree
     # pairs was gauge-fixed and the search took 2,553 nodes; grown from the
-    # shortest lists, all 4 are, and it exhausts in 333
+    # shortest lists, all 4 are, and it exhausted in 333 while each searched
+    # its diagonal, and in 162 now that each takes its diagonal up front
     g = parse_multigraph("5\n1 2 1\n1 3 1\n1 4 1\n1 5 1\n2 3 1\n2 4 1\n2 5 1\n3 4 1\n")
     assert g.degrees() == (4, 4, 3, 3, 2)
-    _assert_search_nodes(g, g.degrees(), 333, False)
+    _assert_search_nodes(g, g.degrees(), 162, False)
 
 
 @pytest.mark.parametrize("g,k,nodes,found", [
-    (Multigraph.complete(4), 3, 21, True),
-    (Multigraph.complete(4), 4, 10, False),
-    (Multigraph.cycle(5), 2, 11, True),
-])
+    (Multigraph.complete(4), 3, 10, True),
+    (Multigraph.complete(4), 4, 4, False),
+    (Multigraph.cycle(5), 2, 3, True),
+], ids=["K4-k3", "K4-k4", "C5-k2"])
 def test_search_node_counts_are_pinned(g, k, nodes, found):
     # exact counts: any change to the search's branching or cuts moves them
     _assert_search_nodes(g, k, nodes, found)
