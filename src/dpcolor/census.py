@@ -9,10 +9,10 @@ One scan, ``_census``, generates both connected censuses; the simple-graph
 census is the multiplicity-1 census.  It picks the multiplicity vector one
 vertex row at a time, in lexicographic order, keeping per-vertex masks in
 place as rows are set and undone.  A branch ends when a row closes a degree
-below ``min_degree``; connectivity comes from the neighbour masks, and a
-vector is kept exactly when the canonical form of its masks is the vector
-itself, a test that stops at the first row of the canonical form that
-differs from the vector's, so one ``Multigraph`` is built per class, for its canonical vector.
+below ``min_degree``; connectivity comes from the non-neighbour masks, and
+a vector is kept exactly when the canonical form of its masks is the vector
+itself, a test that stops at the first candidate row below the vector's,
+so one ``Multigraph`` is built per class, for its canonical vector.
 The ``max_n`` guards and ``MAX_CENSUS_VECTORS`` refuse a census whose scan
 would be too long before it starts.  All three generators order their
 graphs by (n, total edges, canonical key).
@@ -40,18 +40,19 @@ def canonical_key(g: Multigraph) -> tuple:
     mults = g.multiplicities()
     top = max((k for _, k in mults), default=0)
     # masks[x][k]: the vertices other than x joined to x by k edges
-    masks = [[0] * (top + 1) for _ in range(g.n)]
+    masks = [[((1 << g.n) - 1) ^ (1 << x)] + [0] * top for x in range(g.n)]
     for (u, v), k in mults:
-        masks[u - 1][k] |= 1 << (v - 1)
-        masks[v - 1][k] |= 1 << (u - 1)
+        for x, y in ((u - 1, v - 1), (v - 1, u - 1)):
+            masks[x][0] ^= 1 << y
+            masks[x][k] |= 1 << y
     return (g.n, tuple(_canonical_vector(masks)))
 
 
 def _canonical_vector(masks, target=None) -> list:
     """The smallest multiplicity vector over all relabelings of the graph
-    whose vertex x (0-based) is joined by k >= 1 edges to the vertices of
-    the bitmask masks[x][k].  masks[x][0] is overwritten with the vertices
-    other than x that x is not joined to, so it may hold anything before.
+    whose vertex x (0-based) is joined by k edges to the vertices of the
+    bitmask masks[x][k]; masks[x][0] holds the vertices other than x that x
+    is not joined to, and the caller keeps it so.
 
     The vector is built one row at a time.  The vertices not yet labeled sit
     in an ordered partition whose cells may be permuted freely.  Labeling x
@@ -65,17 +66,17 @@ def _canonical_vector(masks, target=None) -> list:
     -length) each.  All surviving partitions have the same cell sizes, so
     comparing runs orders rows as comparing the rows themselves.
 
-    Given a target, the build stops at the first row that differs from the
-    target's and returns the prefix so far.  For the graph's own vector that
-    row is smaller, since the identity is one of the relabelings.
+    Given a target (a list), the build returns the target exactly when it
+    is the canonical vector, and otherwise some vector below it: it returns
+    at the first candidate whose row is below the target's row at the same
+    step, the rows before being equal.  The identity is one of the
+    relabelings, so while the rows so far are equal the smallest row is not
+    above the target's; a build that never returns early ends at the target.
     """
     n = len(masks)
     full = (1 << n) - 1
     # by_mult[x]: the (k, mask) entries of masks[x] with a vertex in the mask
-    by_mult = []
-    for x, row in enumerate(masks):
-        row[0] = full ^ (1 << x) ^ sum(row[1:])
-        by_mult.append([(k, mask) for k, mask in enumerate(row) if mask])
+    by_mult = [[(k, mask) for k, mask in enumerate(row) if mask] for row in masks]
     vec = []
     partitions = [(full,)]
     for _ in range(n - 1):
@@ -95,13 +96,17 @@ def _canonical_vector(masks, target=None) -> list:
                             runs += (k, -part.bit_count())
                             split.append(part)
                 if best is None or runs < best:
+                    # only a new smallest row can be below the target's
+                    best_row = []
+                    for k, length in zip(runs[::2], runs[1::2]):
+                        best_row += [k] * -length
+                    if (target is not None
+                            and best_row < target[len(vec):len(vec) + len(best_row)]):
+                        return vec + best_row
                     best, survivors = runs, {tuple(split)}
                 elif runs == best:
                     survivors.add(tuple(split))
-        for k, length in zip(best[::2], best[1::2]):
-            vec += [k] * -length
-        if target is not None and vec != target[:len(vec)]:
-            break
+        vec += best_row
         partitions = survivors
     return vec
 
@@ -125,14 +130,15 @@ def _census(max_n: int, max_mult: int, min_degree: int = 0):
     The vector is picked one vertex row at a time, the row of x being its
     multiplicities to x + 1, ..., n, each row's values in lexicographic
     order, so the vectors come in lexicographic order.  Setting a row
-    updates per-vertex multiplicity masks and neighbour masks in place, and
-    undoing it restores them.  A row closes its vertex's degree (the last
-    row closes two), so a branch ends as soon as a closed degree is below
-    min_degree.  A complete vector is connected when the neighbour masks
-    reach every vertex from vertex 1, and it is kept exactly when
-    _canonical_vector of its masks, given the vector as target, returns it:
-    the test stops at the first row that differs.  Only a kept vector gets
-    a Multigraph, one per class.  Raises ValueError when max_n is below 1,
+    updates the per-vertex multiplicity masks in place, the non-neighbour
+    masks masks[x][0] included, and undoing it restores them.  A row closes
+    its vertex's degree (the last row closes two), so a branch ends as soon
+    as a closed degree is below min_degree.  A complete vector is connected
+    when the neighbours, read off the non-neighbour masks, reach every
+    vertex from vertex 1, and it is kept exactly when _canonical_vector of
+    its masks, given the vector as target, returns it: the test stops at
+    the first candidate row below the vector's.  Only a kept vector gets a
+    Multigraph, one per class.  Raises ValueError when max_n is below 1,
     and CapExceeded when the scan would cover more than MAX_CENSUS_VECTORS
     vectors.
     """
@@ -147,21 +153,23 @@ def _census(max_n: int, max_mult: int, min_degree: int = 0):
     for n in range(1, max_n + 1):
         pairs = _pairs_of(n)
         full = (1 << n) - 1
-        masks = [[0] * (max_mult + 1) for _ in range(n)]
-        # nbrs[x]: the vertices joined to x; deg[x]: x's degree so far
-        nbrs = [0] * n
-        deg = [0] * n
+        # masks[x][k]: the vertices other than x joined to x by k edges so
+        # far, all of them in masks[x][0] before any row is set
+        masks = [[full ^ (1 << x)] + [0] * max_mult for x in range(n)]
+        deg = [0] * n  # deg[x]: x's degree so far
         vec = [0] * len(pairs)
 
         def toggle(x, values, sign):
-            # set (sign 1) or undo (sign -1) the row of x; its bits are clear
-            # before it is set, so XOR does both
+            # set (sign 1) or undo (sign -1) the row of x: a pair with k >= 1
+            # moves between masks[.][0] and masks[.][k], so XOR does both
+            mx = masks[x]
             for y, k in enumerate(values, x + 1):
                 if k:
-                    masks[x][k] ^= 1 << y
-                    masks[y][k] ^= 1 << x
-                    nbrs[x] ^= 1 << y
-                    nbrs[y] ^= 1 << x
+                    my = masks[y]
+                    mx[0] ^= 1 << y
+                    mx[k] ^= 1 << y
+                    my[0] ^= 1 << x
+                    my[k] ^= 1 << x
                     deg[x] += sign * k
                     deg[y] += sign * k
 
@@ -173,7 +181,7 @@ def _census(max_n: int, max_mult: int, min_degree: int = 0):
                 while todo:
                     low = todo & -todo
                     todo ^= low
-                    new = nbrs[low.bit_length() - 1] & ~seen
+                    new = full & ~(masks[low.bit_length() - 1][0] | seen)
                     seen |= new
                     todo |= new
                 if seen == full and _canonical_vector(masks, vec) == vec:

@@ -9,6 +9,7 @@ or any other unexpected exception), so a crash never reads as an answer.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -209,6 +210,9 @@ def cmd_census(args):
     return 0
 
 
+# parsing builds a fresh Namespace and leaves the parser as it was, so one
+# parser serves every main() call in a process
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dpcolor",

@@ -83,24 +83,27 @@ def test_representatives_are_their_canonical_vectors(simple6):
 
 
 @pytest.mark.parametrize("n, max_mult", [(4, 2), (5, 1)])
-def test_target_stops_at_the_first_differing_row(n, max_mult):
+def test_target_is_returned_exactly_when_canonical(n, max_mult):
     # every vector, disconnected ones too: given the vector as target,
     # _canonical_vector returns it exactly when it is the canonical vector,
-    # and otherwise a prefix of the canonical vector
+    # and otherwise some vector below it
     pairs = _pairs_of(n)
     for vec in itertools.product(range(max_mult + 1), repeat=len(pairs)):
         vec = list(vec)
-        masks = [[0] * (max_mult + 1) for _ in range(n)]
+        # masks[x][0] holds the non-neighbours of x, as the census keeps it
+        masks = [[((1 << n) - 1) ^ (1 << x)] + [0] * max_mult for x in range(n)]
         for (u, v), k in zip(pairs, vec):
-            masks[u - 1][k] |= 1 << (v - 1)
-            masks[v - 1][k] |= 1 << (u - 1)
+            if k:
+                for x, y in ((u - 1, v - 1), (v - 1, u - 1)):
+                    masks[x][0] ^= 1 << y
+                    masks[x][k] |= 1 << y
         got = _canonical_vector(masks, vec)
-        assert got == _canonical_vector(masks)[:len(got)], vec
-        # row ends at which got and vec differ; got stops at the first
-        ends = [e for e in itertools.accumulate(range(n - 1, 0, -1)) if got[:e] != vec[:e]]
-        assert got == vec if not ends else len(got) == ends[0], vec
         g = Multigraph(n, {p: k for p, k in zip(pairs, vec) if k})
-        assert (got == vec) == (brute_canonical_key(g) == (n, tuple(vec))), vec
+        if brute_canonical_key(g) == (n, tuple(vec)):
+            assert got == vec
+        else:
+            # below vec at a position both have, not a shorter prefix of it
+            assert got < vec[:len(got)], vec
 
 
 @pytest.mark.parametrize("max_n, max_mult, min_degree",

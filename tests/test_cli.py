@@ -455,6 +455,25 @@ def test_flag_overrides_a_bad_env_value(monkeypatch, capsys):
     assert capsys.readouterr().out == "4\n"
 
 
+def test_main_calls_share_no_state(capsys):
+    # main() reuses one parser: a flag given to one call must not carry over
+    # to the next, so two calls in one process answer as two fresh processes
+    k4 = str(DATA / "k4.graph")
+    calls = [["--format", "lines", "--node-budget", "5", "chi-dp", k4], ["chi-dp", k4]]
+    src = str(Path(dpcolor.cli.__file__).resolve().parents[1])
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "dpcolor.cli", *argv],
+                              capture_output=True, text=True, timeout=30,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (code, captured.out, captured.err) == (
+            proc.returncode, proc.stdout, proc.stderr)
+    assert [main(argv) for argv in calls] == [3, 0]
+    assert capsys.readouterr().out == "4\n"
+    assert dpcolor.cli.build_parser() is dpcolor.cli.build_parser()
+
+
 def test_oracle_refuses_a_disconnected_graph(capsys):
     argv = ["degree-colorable", str(DATA / "two-parts.graph"), "--oracle"]
     assert main(argv) == 2
