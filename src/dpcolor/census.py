@@ -75,8 +75,8 @@ def _canonical_vector(masks, target=None) -> list:
     """
     n = len(masks)
     full = (1 << n) - 1
-    # by_mult[x]: the (k, mask) entries of masks[x] with a vertex in the mask
-    by_mult = [[(k, mask) for k, mask in enumerate(row) if mask] for row in masks]
+    # by_mult[x]: the non-empty (k, mask) entries of masks[x], on x's first use
+    by_mult = [None] * n
     vec = []
     partitions = [(full,)]
     for _ in range(n - 1):
@@ -87,6 +87,8 @@ def _canonical_vector(masks, target=None) -> list:
                 x = (first & -first).bit_length() - 1
                 first &= first - 1
                 row = by_mult[x]
+                if row is None:
+                    row = by_mult[x] = [(k, mask) for k, mask in enumerate(masks[x]) if mask]
                 runs = []
                 split = []
                 for cell in cells:

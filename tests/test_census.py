@@ -82,7 +82,7 @@ def test_representatives_are_their_canonical_vectors(simple6):
         assert vec == canonical_key(g)[1], g.pairs()
 
 
-@pytest.mark.parametrize("n, max_mult", [(4, 2), (5, 1)])
+@pytest.mark.parametrize("n, max_mult", [(4, 2), (4, 3), (5, 1)])
 def test_target_is_returned_exactly_when_canonical(n, max_mult):
     # every vector, disconnected ones too: given the vector as target,
     # _canonical_vector returns it exactly when it is the canonical vector,

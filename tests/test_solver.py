@@ -112,6 +112,14 @@ def test_chi_dp_examples():
         assert chi_dp(Multigraph.complete(2, k)) == k + 1
     assert chi_dp(Multigraph(1)) == 1
     assert chi_dp(Multigraph.complete(4)) == 4
+    # chi_dp = m + 1 below degeneracy + 1 = 4: C4 with two opposite doubled
+    # edges, and K_{3,3} with one doubled edge
+    c4_doubled = Multigraph(4, {(1, 3): 1, (1, 4): 2, (2, 3): 2, (2, 4): 1})
+    k33_doubled = Multigraph(6, {(u, v): 2 if (u, v) == (1, 4) else 1
+                                 for u in (1, 2, 3) for v in (4, 5, 6)})
+    for g in (c4_doubled, k33_doubled):
+        assert g.degeneracy() == 3
+        assert chi_dp(g) == 3, g.pairs()
 
 
 def test_chi_dp_bounds():
